@@ -35,15 +35,11 @@ let run_workload ?(seed = 42) ?(faults = Minidb.Fault.Set.empty) ?latency_of
 let pipeline_of ?optimized ?batch (outcome : H.Run.outcome) =
   Leopard.Pipeline.of_lists ?optimized ?batch outcome.client_traces
 
-(* Verify through pipeline + checker; returns (report, wall seconds). *)
-let verify ?(gc_every = 512) il outcome =
-  let checker = Leopard.Checker.create ~gc_every il in
-  let pipe = pipeline_of outcome in
+(* Verify a run as the CLI does; returns (report, wall seconds). *)
+let verify ?gc_every il outcome =
   let t0 = wall () in
-  ignore (Leopard.Pipeline.drain pipe ~f:(Leopard.Checker.feed checker));
-  Leopard.Checker.finalize checker;
-  let dt = wall () -. t0 in
-  (Leopard.Checker.report checker, dt)
+  let r = H.Session.of_outcome ?gc_every il outcome in
+  (r.H.Session.report, wall () -. t0)
 
 let pg = Minidb.Profile.postgresql
 let sr = Minidb.Isolation.Serializable
@@ -678,7 +674,6 @@ let emit_json = ref false
    The point of the experiment is the memory column: peak live state is
    a function of the truncation window, not of history length. *)
 let online_soak ~clients ~cells ~window ~txns =
-  let checker = Leopard.Checker.create il_sr in
   let next = Array.make clients 0 in
   let queues = Array.init clients (fun _ -> Queue.create ()) in
   let cell i = Leopard_trace.Cell.make ~table:0 ~row:(i mod cells) ~col:0 in
@@ -726,22 +721,12 @@ let online_soak ~clients ~cells ~window ~txns =
             | None -> Leopard.Pipeline.Closed)
           else Leopard.Pipeline.Closed)
   in
-  let pipe = Leopard.Pipeline.create ~sources () in
   let t0 = wall () in
-  let since = ref 0 in
-  let feed tr =
-    Leopard.Checker.feed checker tr;
-    incr since;
-    if !since >= window then begin
-      since := 0;
-      let w = Leopard.Pipeline.watermark pipe in
-      if w < max_int then Leopard.Checker.truncate checker ~watermark:w
-    end
+  let r =
+    H.Session.verify ~gc_watermark:window il_sr H.Marks.empty
+      (H.Session.Pipeline (Leopard.Pipeline.create ~sources ()))
   in
-  ignore (Leopard.Pipeline.drain pipe ~f:feed);
-  Leopard.Checker.finalize checker;
-  let dt = wall () -. t0 in
-  (Leopard.Checker.report checker, Leopard.Pipeline.peak_memory pipe, dt)
+  (r.H.Session.report, r.H.Session.pipeline_peak, wall () -. t0)
 
 let online () =
   section
@@ -878,19 +863,13 @@ let ablation () =
     run_workload ~seed:37 ~spec:(W.Blindw.spec W.Blindw.RW_plus) ~profile:pg
       ~level:sr ~clients:24 ~stop:(H.Run.Txn_count 8_000) ()
   in
-  let traces = H.Run.all_traces_sorted outcome in
   print_endline "(a) garbage-collection cadence (BlindW-RW+, 8k txns):";
   Table.print
     ~header:
       [ "gc every"; "time(ms)"; "peak live"; "final live"; "pruned"; "bugs" ]
     (List.map
        (fun gc_every ->
-         let checker = Leopard.Checker.create ~gc_every il_sr in
-         let t0 = wall () in
-         List.iter (Leopard.Checker.feed checker) traces;
-         Leopard.Checker.finalize checker;
-         let dt = wall () -. t0 in
-         let r = Leopard.Checker.report checker in
+         let r, dt = verify ~gc_every il_sr outcome in
          [
            (if gc_every = 0 then "off" else Table.fmt_int gc_every);
            fmt_ms dt;
@@ -1210,7 +1189,6 @@ let replication_bench () =
   let module Cluster = Leopard_replication.Cluster in
   let module Repl_fault = Leopard_replication.Repl_fault in
   let module Link = Leopard_net.Faulty_link in
-  let module Codec = Leopard_trace.Codec in
   section "Replication — ack mode x fault class: latency and verdict mix";
   let clients = 16 and txns = 800 and nseeds = 5 and seed0 = 211 in
   let si = Minidb.Isolation.Snapshot_isolation in
@@ -1250,24 +1228,6 @@ let replication_bench () =
     o.H.Run.sim_duration_ns
   in
   let d_bank = probe `Bank and d_hot = probe `Hot in
-  (* Offline verification exactly as the CLI does it: ambiguity marks
-     first, then leader marks (lost beats ambiguous), then the traces in
-     timestamp order. *)
-  let repl_verify (o : H.Run.outcome) =
-    let checker = Leopard.Checker.create Leopard.Il_profile.postgresql_si in
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_ambiguous_commit checker ~txn)
-      o.H.Run.repl_ambiguous;
-    List.iter
-      (fun (m : Codec.leader_mark) ->
-        Leopard.Checker.note_failover checker ~at:m.Codec.at
-          ~epoch:m.Codec.epoch ~lost:m.Codec.lost)
-      o.H.Run.leaders;
-    List.iter (Leopard.Checker.feed checker) (H.Run.all_traces_sorted o);
-    Leopard.Checker.finalize checker;
-    Leopard.Checker.report checker
-  in
   let classes =
     [
       ( "clean", `Bank,
@@ -1356,7 +1316,7 @@ let replication_bench () =
         stale := !stale + s.Cluster.stale_serves;
         resends := !resends + s.Cluster.resends
       | None -> ());
-      let report = repl_verify o in
+      let report, _ = verify Leopard.Il_profile.postgresql_si o in
       bugs := !bugs + report.Leopard.Checker.bugs_total;
       match Leopard.Checker.verdict report with
       | Leopard.Checker.Verified -> incr verified
@@ -1527,19 +1487,6 @@ let shard_bench () =
     o.H.Run.sim_duration_ns
   in
   let d_bank = probe `Bank and d_cross = probe `Cross in
-  (* Offline verification exactly as the CLI does it: coordinator
-     ambiguity marks first (the [P ... ?] lines), then the traces in
-     timestamp order. *)
-  let shard_verify (o : H.Run.outcome) =
-    let checker = Leopard.Checker.create Leopard.Il_profile.postgresql_si in
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_coord_ambiguous checker ~txn)
-      o.H.Run.coord_ambiguous;
-    List.iter (Leopard.Checker.feed checker) (H.Run.all_traces_sorted o);
-    Leopard.Checker.finalize checker;
-    Leopard.Checker.report checker
-  in
   let classes =
     [
       ( "clean", `Bank,
@@ -1645,7 +1592,7 @@ let shard_bench () =
         resends := !resends + s.Group.resends;
         routed := !routed + s.Group.routed_reads
       | None -> ());
-      let report = shard_verify o in
+      let report, _ = verify Leopard.Il_profile.postgresql_si o in
       bugs := !bugs + report.Leopard.Checker.bugs_total;
       match Leopard.Checker.verdict report with
       | Leopard.Checker.Verified -> incr verified
@@ -1820,29 +1767,6 @@ let shard_repl_bench () =
   let d_sparse =
     (fst (run ~shape:`Sparse ~seed:seed0 ())).H.Run.sim_duration_ns
   in
-  (* Offline verification exactly as the CLI does it for a stacked run:
-     restart epochs, coordinator-ambiguity marks, failover marks (lost
-     beats ambiguous), then the traces in timestamp order. *)
-  let stack_verify (o : H.Run.outcome) =
-    let checker = Leopard.Checker.create Leopard.Il_profile.postgresql_si in
-    List.iter
-      (fun (m : H.Run.epoch_mark) ->
-        Leopard.Checker.note_restart checker ~at:m.H.Run.at
-          ~replayed:m.H.Run.replayed ~damaged:m.H.Run.damaged)
-      o.H.Run.epochs;
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_coord_ambiguous checker ~txn)
-      o.H.Run.coord_ambiguous;
-    List.iter
-      (fun (m : Codec.leader_mark) ->
-        Leopard.Checker.note_failover checker ~at:m.Codec.at
-          ~epoch:m.Codec.epoch ~lost:m.Codec.lost)
-      o.H.Run.leaders;
-    List.iter (Leopard.Checker.feed checker) (H.Run.all_traces_sorted o);
-    Leopard.Checker.finalize checker;
-    Leopard.Checker.report checker
-  in
   let wal_chaos =
     Wal.fault_cfg ~seed:11 ~torn_tail_prob:0.4 ~lost_fsync_prob:0.3
       ~lost_fsync_window:3 ~dup_replay_prob:0.2 ()
@@ -1950,7 +1874,7 @@ let shard_repl_bench () =
         claimed := !claimed + s.Stack.claimed_clean;
         lost := !lost + s.Stack.lost_records
       | None -> ());
-      let report = stack_verify o in
+      let report, _ = verify Leopard.Il_profile.postgresql_si o in
       bugs := !bugs + report.Leopard.Checker.bugs_total;
       match Leopard.Checker.verdict report with
       | Leopard.Checker.Verified -> incr verified

@@ -9,8 +9,14 @@
 let workload_of_string = Leopard_workload.Catalog.find
 
 let verifier_profile ~dbms ~level =
-  Leopard.Il_profile.find
-    (Printf.sprintf "%s/%s" dbms (Minidb.Isolation.level_to_string level))
+  match
+    Leopard.Il_profile.find
+      (Printf.sprintf "%s/%s" dbms (Minidb.Isolation.level_to_string level))
+  with
+  | Some il -> il
+  | None ->
+    prerr_endline "no verification profile for this (dbms, level)";
+    exit 2
 
 let print_inference ~dbms traces =
   let verdicts = Leopard.Level_inference.infer ~dbms traces in
@@ -48,18 +54,16 @@ let finish ~show_bugs (report : Leopard.Checker.report) =
     exit 1
   end
 
-(* Verify a previously recorded trace file (see Leopard_trace.Codec).
+let print_truncation (report : Leopard.Checker.report) =
+  Printf.printf
+    "truncate : %d cut(s), %d settled dep(s) folded into totals, peak %d live \
+     entries\n"
+    report.truncations report.truncated_deps report.peak_live
 
-   With [gc_watermark > 0] the pass runs in bounded memory: every N fed
-   traces the checker is truncated at the stream watermark (the sorted
-   file's own order is the watermark proof), and — when [checkpoint]
-   names a file — a full snapshot frame plus the trace cursor is
-   persisted.  [resume] restores the newest valid frame and continues
-   from its cursor; any damage to the checkpoint degrades to a fresh
-   full pass with a warning, never to a different verdict.
-   [kill_after] is the crash drill: SIGKILL (no cleanup) right after
-   trace N, so CI can prove kill + resume reproduces the uninterrupted
-   verdict byte-for-byte. *)
+(* Verify a previously recorded trace file (see Leopard_trace.Codec)
+   through one sorted-source session.  [kill_after] is the crash drill:
+   SIGKILL (no cleanup) right after trace N, so CI can prove kill +
+   resume reproduces the uninterrupted verdict byte-for-byte. *)
 let check_file ~dbms ~level ~show_bugs ~infer ~lenient ~gc_watermark
     ~checkpoint ~resume ~kill_after path =
   let level =
@@ -69,187 +73,55 @@ let check_file ~dbms ~level ~show_bugs ~infer ~lenient ~gc_watermark
       prerr_endline ("unknown isolation level: " ^ level);
       exit 2
   in
+  let fail e =
+    prerr_endline ("cannot load " ^ path ^ ": " ^ e);
+    exit 2
+  in
   let contents, skipped =
-    if lenient then (
-      match Leopard_trace.Codec.load_lenient_all ~path with
-      | contents, skipped -> (contents, skipped)
-      | exception Sys_error e ->
-        prerr_endline ("cannot load " ^ path ^ ": " ^ e);
-        exit 2)
-    else
-      match Leopard_trace.Codec.load_all ~path with
-      | Ok contents -> (contents, [])
-      | Error e ->
-        prerr_endline ("cannot load " ^ path ^ ": " ^ e);
-        exit 2
-      | exception Sys_error e ->
-        prerr_endline ("cannot load " ^ path ^ ": " ^ e);
-        exit 2
+    match
+      if lenient then Ok (Leopard_trace.Codec.load_lenient_all ~path)
+      else Result.map (fun c -> (c, [])) (Leopard_trace.Codec.load_all ~path)
+    with
+    | Ok loaded -> loaded
+    | Error e -> fail e
+    | exception Sys_error e -> fail e
   in
-  let {
-    Leopard_trace.Codec.c_traces = traces;
-    c_epochs = epochs;
-    c_ambiguous = ambiguous;
-    c_leaders = leaders;
-    c_shards = shard_marks;
-    c_prepares = prepare_marks;
-  } =
-    contents
+  let il = verifier_profile ~dbms ~level in
+  let marks =
+    Leopard_harness.Marks.of_codec contents ~skipped:(List.length skipped)
   in
-  let il =
-    match verifier_profile ~dbms ~level with
-    | Some il -> il
-    | None ->
-      prerr_endline "no verification profile for this (dbms, level)";
-      exit 2
-  in
-  let sorted = List.sort Leopard_trace.Trace.compare_by_bef traces in
-  let total = List.length sorted in
+  let shards = contents.Leopard_trace.Codec.c_shards in
+  let rounds = List.length contents.c_prepares in
+  let sorted = List.sort Leopard_trace.Trace.compare_by_bef contents.c_traces in
   if infer then print_inference ~dbms sorted;
-  (* The fingerprint binds a checkpoint to this exact verification: the
-     profile, the checker-relevant flags, and the input file's identity
-     (size + head bytes).  Resuming anything else ignores the file. *)
-  let fingerprint =
-    let head =
-      match open_in_bin path with
-      | exception Sys_error _ -> ""
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            really_input_string ic (min (in_channel_length ic) 4096))
-    in
-    Leopard_trace.Ckpt.fingerprint
-      [
-        "check"; il.Leopard.Il_profile.name;
-        (if lenient then "lenient" else "strict");
-        string_of_int gc_watermark; string_of_int total; head;
-      ]
-  in
-  let resumed =
-    match (resume, checkpoint) with
-    | false, _ | _, None -> None
-    | true, Some cpath -> (
-      let frame, warning = Leopard_trace.Ckpt.load ~path:cpath ~fingerprint in
-      Option.iter prerr_endline warning;
-      let reject why =
-        Printf.eprintf
-          "checkpoint %s: %s; starting verification from scratch\n" cpath why;
-        None
-      in
-      match frame with
-      | None -> None
-      | Some [] -> reject "empty snapshot frame"
-      | Some (cursor_line :: snapshot) -> (
-        match String.split_on_char '\t' cursor_line with
-        | [ "cursor"; n ] -> (
-          match int_of_string_opt n with
-          | Some cursor when cursor >= 0 && cursor <= total -> (
-            match Leopard.Checker.decode il snapshot with
-            | Ok checker -> Some (checker, cursor)
-            | Error msg -> reject (Printf.sprintf "snapshot rejected (%s)" msg))
-          | Some cursor ->
-            reject
-              (Printf.sprintf "cursor %d outside the %d-trace file" cursor
-                 total)
-          | None -> reject "unparseable cursor")
-        | _ -> reject "malformed cursor line"))
-  in
-  let checker, start_cursor =
-    match resumed with
-    | Some (checker, cursor) ->
-      Printf.printf "resumed  : trace %d/%d from checkpoint\n" cursor total;
-      (checker, cursor)
-    | None -> (Leopard.Checker.create il, 0)
-  in
-  (* Open the writer only after any resume load: [Ckpt.writer] truncates
-     the file, and each run rewrites it from its own first frame. *)
-  let ckpt_writer =
-    match checkpoint with
-    | Some cpath -> Some (Leopard_trace.Ckpt.writer ~path:cpath ~fingerprint)
-    | None -> None
-  in
+  let total = List.length sorted in
   let wall0 = Leopard_util.Clock.wall () in
-  if start_cursor = 0 then begin
-    (* The pre-trace marks mutate checker state that a snapshot already
-       carries (loss tallies, ambiguity sets, failover strips), so they
-       are fed exactly once — by the fresh pass, never by a resume. *)
-    (* losses must be known before reads are checked, so a value whose
-       write may have been on a skipped line is not misreported as a bug *)
-    Leopard.Checker.note_lost_traces checker (List.length skipped);
-    (* epoch markers: restarts are free, recovery damage degrades *)
-    List.iter
-      (fun (m : Leopard_trace.Codec.epoch_mark) ->
-        Leopard.Checker.note_restart checker ~at:m.at ~replayed:m.replayed
-          ~damaged:m.damaged)
-      epochs;
-    (* ambiguous-commit marks must land before the traces they govern, or
-       the checker would treat the commit-less transaction as merely
-       unterminated instead of resolvable from later reads *)
-    List.iter
-      (fun (m : Leopard_trace.Codec.ambiguous_mark) ->
-        Leopard.Checker.mark_ambiguous_commit checker ~txn:m.txn)
-      ambiguous;
-    (* prepare markers with an unknown disposition are coordinator
-       ambiguity — a separate degradation channel from wire ambiguity,
-       fed before the traces for the same reason *)
-    List.iter
-      (fun (m : Leopard_trace.Codec.prepare_mark) ->
-        if m.disposition = Leopard_trace.Codec.Unknown then
-          Leopard.Checker.mark_coord_ambiguous checker ~txn:m.txn)
-      prepare_marks;
-    (* leader marks last among the marks: a commit that was both ambiguous
-       on the wire and lost at failover is lost — note_failover strips it
-       from the ambiguous (resolvable) set permanently *)
-    List.iter
-      (fun (m : Leopard_trace.Codec.leader_mark) ->
-        Leopard.Checker.note_failover checker ~at:m.at ~epoch:m.epoch
-          ~lost:m.lost)
-      leaders
-  end;
-  let consumed = ref 0 in
-  List.iter
-    (fun (trace : Leopard_trace.Trace.t) ->
-      incr consumed;
-      if !consumed > start_cursor then begin
-        Leopard.Checker.feed checker trace;
-        (* The file is globally sorted, so after feeding trace i every
-           remaining trace has ts_bef >= this one: its ts_bef IS the
-           watermark, the same Theorem 1 bound the online pipeline
-           computes across live sources. *)
-        if gc_watermark > 0 && !consumed mod gc_watermark = 0 then begin
-          Leopard.Checker.truncate checker ~watermark:trace.ts_bef;
-          Option.iter
-            (fun w ->
-              Leopard_trace.Ckpt.append w
-                (Printf.sprintf "cursor\t%d" !consumed
-                :: Leopard.Checker.encode checker))
-            ckpt_writer
-        end;
-        if kill_after > 0 && !consumed = kill_after then
-          (* the drill: die as a crashed machine would — no cleanup, no
-             flush, nothing but whatever the checkpoint already holds *)
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-      end)
-    sorted;
-  Leopard.Checker.finalize checker;
-  Option.iter Leopard_trace.Ckpt.close ckpt_writer;
+  let verified =
+    Leopard_harness.Session.verify ~gc_watermark ?checkpoint ~resume
+      ~file:path
+      ~after_trace:(fun n ->
+        if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
+      il marks (Leopard_harness.Session.Sorted sorted)
+  in
   let wall = Leopard_util.Clock.wall () -. wall0 in
-  let report = Leopard.Checker.report checker in
+  List.iter prerr_endline verified.Leopard_harness.Session.warnings;
+  Option.iter
+    (fun cursor ->
+      Printf.printf "resumed  : trace %d/%d from checkpoint\n" cursor total)
+    verified.Leopard_harness.Session.resumed_at;
+  let report = verified.Leopard_harness.Session.report in
   Printf.printf "checked  : %s — %d traces, %d committed txns, %.1f ms wall\n"
     path report.traces report.committed (wall *. 1e3);
-  if gc_watermark > 0 then
-    Printf.printf
-      "truncate : %d cut(s), %d settled dep(s) folded into totals, peak %d \
-       live entries\n"
-      report.truncations report.truncated_deps report.peak_live;
+  if gc_watermark > 0 then print_truncation report;
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
+  let { Leopard_harness.Marks.epochs; ambiguous; leaders; coord_ambiguous; _ } =
+    marks
+  in
   if epochs <> [] then
     Printf.printf "recovery : trace spans %d server restart(s), %d wal \
                    record(s) damaged\n"
       (List.length epochs)
-      (List.fold_left
-         (fun acc (m : Leopard_trace.Codec.epoch_mark) -> acc + m.damaged)
-         0 epochs);
+      (sum (fun (e : Leopard_harness.Run.epoch_mark) -> e.damaged) epochs);
   if ambiguous <> [] then
     Printf.printf
       "ambiguous: %d commit(s) with unknown outcome, %d resolved by later \
@@ -259,25 +131,15 @@ let check_file ~dbms ~level ~show_bugs ~infer ~lenient ~gc_watermark
     Printf.printf "failover : trace spans %d promotion(s), %d commit(s) lost \
                    with deposed timelines\n"
       (List.length leaders)
-      (List.fold_left
-         (fun acc (m : Leopard_trace.Codec.leader_mark) ->
-           acc + List.length m.lost)
-         0 leaders);
-  (match shard_marks with
+      (sum (fun (l : Leopard_trace.Codec.leader_mark) -> List.length l.lost)
+         leaders);
+  (match shards with
   | { Leopard_trace.Codec.shards; _ } :: _ ->
-    let undecided =
-      List.length
-        (List.filter
-           (fun (m : Leopard_trace.Codec.prepare_mark) ->
-             m.disposition = Leopard_trace.Codec.Unknown)
-           prepare_marks)
-    in
     Printf.printf
       "sharded  : %d shards, %d cross-shard round(s), %d with the \
        coordinator's decision unknown\n"
-      shards
-      (List.length prepare_marks)
-      undecided
+      shards rounds
+      (List.length coord_ambiguous)
   | [] -> ());
   if skipped <> [] then begin
     Printf.printf "skipped  : %d undecodable line(s)\n" (List.length skipped);
@@ -289,7 +151,7 @@ let check_file ~dbms ~level ~show_bugs ~infer ~lenient ~gc_watermark
   finish ~show_bugs report
 
 let run_workload_mode workload dbms level faults clients txns seed show_bugs
-    record infer chaos net max_retries max_stall_ns ~gc_watermark ~checkpoint
+    record infer chaos net max_retries ~gc_watermark ~checkpoint
     (wal, crash_at, wal_faults) repl shard =
   match
     ( workload_of_string workload,
@@ -322,39 +184,12 @@ let run_workload_mode workload dbms level faults clients txns seed show_bugs
             exit 2)
         Minidb.Fault.Set.empty faults
     in
-    let il =
-      match verifier_profile ~dbms ~level with
-      | Some il -> il
-      | None ->
-        prerr_endline "no verification profile for this (dbms, level)";
-        exit 2
-    in
+    let il = verifier_profile ~dbms ~level in
     let config =
       Leopard_harness.Run.config ~clients ~seed ~faults ?chaos ?net
         ~max_retries ~wal ~crash_at ?wal_faults ?repl ?shard ~spec ~profile
         ~level
         ~stop:(Leopard_harness.Run.Txn_count txns) ()
-    in
-    let codec_epochs (outcome : Leopard_harness.Run.outcome) =
-      List.mapi
-        (fun i (e : Leopard_harness.Run.epoch_mark) ->
-          {
-            Leopard_trace.Codec.at = e.at;
-            epoch = i + 1;
-            replayed = e.replayed;
-            damaged = e.damaged;
-          })
-        outcome.Leopard_harness.Run.epochs
-    in
-    let codec_ambiguous (outcome : Leopard_harness.Run.outcome) =
-      let wire =
-        match outcome.Leopard_harness.Run.net with
-        | Some ns -> ns.Leopard_harness.Run.ambiguous
-        | None -> []
-      in
-      List.map
-        (fun (client, txn, at) -> { Leopard_trace.Codec.at; txn; client })
-        (wire @ outcome.Leopard_harness.Run.repl_ambiguous)
     in
     let header outcome =
       Printf.printf "run      : %s on %s/%s, %d clients, seed %d\n"
@@ -472,52 +307,15 @@ let run_workload_mode workload dbms level faults clients txns seed show_bugs
             ns.Leopard_harness.Run.dup_commit_acks
       | None -> ()
     in
-    let footer outcome (report : Leopard.Checker.report) =
-      (match record with
-      | Some path ->
-        Leopard_trace.Codec.save_ext ~path
-          ~ambiguous:(codec_ambiguous outcome)
-          ~leaders:outcome.Leopard_harness.Run.leaders
-          ~shards:outcome.Leopard_harness.Run.shard_marks
-          ~prepares:outcome.Leopard_harness.Run.prepare_marks
-          ~epochs:(codec_epochs outcome)
-          (Leopard_harness.Run.all_traces_sorted outcome);
-        Printf.printf "recorded : %s (%d traces)\n" path report.traces
-      | None -> ());
-      if infer then
-        print_inference ~dbms (Leopard_harness.Run.all_traces_sorted outcome);
-      finish ~show_bugs report
+    let outcome = Leopard_harness.Run.execute config in
+    let wall0 = Leopard_util.Clock.wall () in
+    let verified =
+      Leopard_harness.Session.of_outcome ~gc_watermark ?checkpoint il outcome
     in
-    (match chaos with
-    | None ->
-      (* offline: collect the whole run, then verify through the shared
-         harness entry point (one canonical mark-feeding order for the
-         CLI, the bench and the campaign runner) *)
-      let outcome = Leopard_harness.Run.execute config in
-      let wall0 = Leopard_util.Clock.wall () in
-      let verified = Leopard_harness.Verify.offline ~il outcome in
-      let wall = Leopard_util.Clock.wall () -. wall0 in
-      let report = verified.Leopard_harness.Verify.report in
-      header outcome;
-      Printf.printf
-        "verifier : %d traces, %d reads checked, %d deps deduced, %.1f ms \
-         wall\n"
-        report.traces report.reads_checked report.deps_deduced (wall *. 1e3);
-      Printf.printf "memory   : peak %d mirrored entries (pipeline peak %d)\n"
-        report.peak_live verified.Leopard_harness.Verify.pipeline_peak;
-      print_string (Leopard.Report_pp.degradation_line report.degradation);
-      footer outcome report
-    | Some _ ->
-      (* chaotic collection: verify online so crashed clients release the
-         watermark and in-flight transactions are marked indeterminate *)
-      let res =
-        Leopard_harness.Online.run ~max_stall_ns
-          ?gc_watermark:(if gc_watermark > 0 then Some gc_watermark else None)
-          ?checkpoint ~il config
-      in
-      let outcome = res.Leopard_harness.Online.outcome in
-      let report = res.Leopard_harness.Online.report in
-      header outcome;
+    let wall = Leopard_util.Clock.wall () -. wall0 in
+    let report = verified.Leopard_harness.Session.report in
+    header outcome;
+    if Option.is_some chaos then
       Printf.printf
         "chaos    : %d crashed client(s), %d indeterminate txn(s), %d \
          dropped, %d duplicated, %d delayed\n"
@@ -526,21 +324,28 @@ let run_workload_mode workload dbms level faults clients txns seed show_bugs
         outcome.Leopard_harness.Run.chaos_dropped
         outcome.Leopard_harness.Run.chaos_duplicated
         outcome.Leopard_harness.Run.chaos_delayed;
-      Printf.printf
-        "verifier : %d traces, %d reads checked, %d deps deduced, %.1f ms \
-         wall (%d rounds)\n"
-        report.traces report.reads_checked report.deps_deduced
-        (res.Leopard_harness.Online.verify_wall_s *. 1e3)
-        res.Leopard_harness.Online.rounds;
-      print_string (Leopard.Report_pp.degradation_line report.degradation);
-      footer outcome report)
+    Printf.printf
+      "verifier : %d traces, %d reads checked, %d deps deduced, %.1f ms wall\n"
+      report.traces report.reads_checked report.deps_deduced (wall *. 1e3);
+    Printf.printf "memory   : peak %d mirrored entries (pipeline peak %d)\n"
+      report.peak_live verified.Leopard_harness.Session.pipeline_peak;
+    if gc_watermark > 0 then print_truncation report;
+    print_string (Leopard.Report_pp.degradation_line report.degradation);
+    (match record with
+    | Some path ->
+      Leopard_harness.Marks.record ~path outcome;
+      Printf.printf "recorded : %s (%d traces)\n" path report.traces
+    | None -> ());
+    if infer then
+      print_inference ~dbms (Leopard_harness.Run.all_traces_sorted outcome);
+    finish ~show_bugs report
 
 (* Flag values arrive raw (validated BEFORE any is-disabled
    short-circuit, so "--chaos-drop 1.5" is a usage error even though the
    chaos plane would have been off); configs are only built after every
    value passed. *)
 let run workload dbms level faults clients txns seed show_bugs record check
-    infer chaos_raw net_raw max_retries max_stall_ns lenient ckpt_raw
+    infer chaos_raw net_raw max_retries lenient ckpt_raw
     recovery_raw repl_raw shard_raw =
   let gc_watermark_v, check_checkpoint_v, resume_check_v, kill_after_v =
     ckpt_raw
@@ -583,7 +388,6 @@ let run workload dbms level faults clients txns seed show_bugs record check
          positive ~flag:"--txns" txns;
          non_negative ~flag:"--show-bugs" show_bugs;
          non_negative ~flag:"--max-retries" max_retries;
-         positive ~flag:"--max-stall-ns" max_stall_ns;
          checkpointing
            {
              gc_watermark = gc_watermark_v;
@@ -598,6 +402,8 @@ let run workload dbms level faults clients txns seed show_bugs record check
          prob ~flag:"--chaos-delay" chaos_delay;
          non_negative ~flag:"--chaos-delay-ns" chaos_delay_ns;
          non_negative ~flag:"--chaos-skew-ns" chaos_skew_ns;
+         recording ~record:(Option.is_some record)
+           ~chaos_rates:[ chaos_crash; chaos_drop; chaos_dup; chaos_delay ];
          crash_schedule ~flag:"--crash-at" crash_at;
          prob ~flag:"--wal-fault-torn" wal_torn;
          prob ~flag:"--wal-fault-lost-fsync" wal_lost;
@@ -898,7 +704,7 @@ let run workload dbms level faults clients txns seed show_bugs record check
       end
     in
     run_workload_mode workload dbms level faults clients txns seed show_bugs
-      record infer chaos net max_retries max_stall_ns
+      record infer chaos net max_retries
       ~gc_watermark:gc_watermark_v ~checkpoint:check_checkpoint_v
       (wal, crash_at, wal_faults)
       repl shard
@@ -1185,15 +991,6 @@ let max_retries =
           "Re-run a transaction program up to $(docv) times when the engine \
            aborts it (deadlock victim, first-updater-wins, certifier), with \
            bounded exponential backoff.")
-
-let max_stall_ns =
-  Arg.(
-    value & opt int 2_000_000
-    & info [ "max-stall-ns" ] ~docv:"NS"
-        ~doc:
-          "Chaos mode: how long (simulated ns) an empty-but-live client \
-           stream may pin the dispatch watermark before being treated as \
-           stalled.")
 
 let wal_flag =
   Arg.(
@@ -2016,7 +1813,7 @@ let run_term =
   Term.(
     const run $ workload $ dbms $ level $ faults $ clients $ txns $ seed
     $ show_bugs $ record $ check $ infer $ chaos_term $ net_term
-    $ max_retries $ max_stall_ns $ lenient $ ckpt_term $ recovery_term
+    $ max_retries $ lenient $ ckpt_term $ recovery_term
     $ repl_term $ shard_term)
 
 let cmd =

@@ -27,16 +27,7 @@
 let magic = "leopard-campaign-checkpoint"
 let version = "v1"
 
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let checksum payload = Printf.sprintf "%016Lx" (fnv64 payload)
+let checksum = Leopard_util.Fnv.hex
 
 (* {2 Encoding} *)
 

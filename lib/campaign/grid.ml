@@ -122,24 +122,15 @@ let describe c =
     c.txns c.clients c.max_retries (plane_to_string c.plane)
     (expect_to_string c.expect)
 
-(* FNV-1a 64; checkpoints compare this, so it must depend on every
-   parameter that changes what a cell runs. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
+(* Checkpoints compare this, so it must depend on every parameter that
+   changes what a cell runs. *)
 let fingerprint g =
   let canon =
     Printf.sprintf "leopard-campaign;seed=%d;seeds-per-class=%d;%s"
       g.campaign_seed g.seeds_per_class
       (String.concat ";" (List.map describe g.classes))
   in
-  Printf.sprintf "%016Lx" (fnv64 canon)
+  Leopard_util.Fnv.hex canon
 
 (* {2 Construction / expansion} *)
 

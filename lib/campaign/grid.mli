@@ -17,8 +17,7 @@
 type plane =
   | Baseline  (** no fault plane: the honest single-node engine *)
   | Chaos of { crash : float; drop : float; dup : float; delay : float }
-      (** collection-path faults; verified online so crashed clients
-          release the pipeline watermark *)
+      (** collection-path faults *)
   | Recovery of {
       crash_at : int list;
       torn : float;

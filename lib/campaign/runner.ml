@@ -13,10 +13,9 @@
      exception and its backtrace and moves on; one broken cell must
      never abort a thousand-cell campaign.
    - [Timeout]: the per-cell step budget fired.  The budget counts
-     transaction-program generations (the one hook that exists in both
-     the offline and the online verification paths), so a cell that
-     stops making progress is cut deterministically — the same step on
-     every replay, unlike any wall-clock watchdog.
+     transaction-program generations, so a cell that stops making
+     progress is cut deterministically — the same step on every replay,
+     unlike any wall-clock watchdog.
 
    Everything a cell draws flows from its derived seed (workload stream)
    and Grid.sub_seed (fault-plane streams); the runner itself reads no
@@ -240,19 +239,9 @@ let run ?step_budget (cell : Grid.cell) =
     try
       let config = config_of_cell ~budget cell in
       let il = verifier_profile cell.Grid.clazz in
-      match cell.Grid.clazz.Grid.plane with
-      | Grid.Chaos _ ->
-        (* Chaotic collection loses traces and kills clients; only the
-           online monitor feeds those channels (crash marks, lost-trace
-           counts) to the checker, so chaos cells verify online exactly
-           as the CLI does. *)
-        let res = Leopard_harness.Online.run ~il config in
-        completed_of ~report:res.Leopard_harness.Online.report
-          res.Leopard_harness.Online.outcome
-      | _ ->
-        let outcome = Run.execute config in
-        let v = Leopard_harness.Verify.offline ~il outcome in
-        completed_of ~report:v.Leopard_harness.Verify.report outcome
+      let outcome = Run.execute config in
+      let v = Leopard_harness.Session.of_outcome il outcome in
+      completed_of ~report:v.Leopard_harness.Session.report outcome
     with
     | Step_limit budget -> Timeout { budget }
     | e ->

@@ -49,9 +49,8 @@ val default_budget : txns:int -> int
     cell, deterministic for a wedged one. *)
 
 val run : ?step_budget:int -> Grid.cell -> result
-(** Execute and verify one cell.  Chaos cells verify online (crashed
-    clients must release the pipeline watermark); every other plane runs
-    offline through {!Leopard_harness.Verify.offline}. *)
+(** Execute and verify one cell through one offline
+    {!Leopard_harness.Session.of_outcome}, whatever its plane. *)
 
 type kind = K_verified | K_violation | K_inconclusive | K_crashed | K_timeout
 

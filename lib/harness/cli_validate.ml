@@ -171,8 +171,8 @@ let choice ~flag ~known v =
    checkpoints only make sense on a truncating checker (a frame is
    written per truncation), resume only makes sense with a checkpoint
    file to read, and the kill-after drill only makes sense when the
-   progress it destroys was being checkpointed.  Encoding the chain here
-   keeps "flag given but silently inert" impossible. *)
+   progress it destroys was being checkpointed.  Truncation and
+   checkpoints work in every mode; resume and the drill need --check. *)
 
 type checkpointing = {
   gc_watermark : int;
@@ -232,6 +232,20 @@ let checkpointing c =
       {
         flag = "--check-kill-after";
         msg = "the kill drill is part of the --check resume path";
+      }
+  else None
+
+(* The trace format has no line for lost traces or indeterminate
+   transactions, so a recorded chaos run would re-check as a different,
+   seemingly complete history. *)
+let recording ~record ~chaos_rates =
+  if record && List.exists (fun p -> p > 0.0) chaos_rates then
+    Some
+      {
+        flag = "--record";
+        msg =
+          "the trace format cannot carry the losses of a --chaos-* run; \
+           record without chaos";
       }
   else None
 

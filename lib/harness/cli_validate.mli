@@ -72,7 +72,13 @@ val checkpointing : checkpointing -> error option
     (only the offline pass can re-read its input from a cursor); the
     kill drill additionally needs the progress it destroys to have been
     checkpointed.  A flag that would be silently inert is a usage error
-    instead. *)
+    instead.  [--gc-watermark] and [--check-checkpoint] work in every
+    mode: [--check], a workload run, and a chaos run. *)
+
+val recording : record:bool -> chaos_rates:float list -> error option
+(** [--record] with any nonzero [--chaos-*] rate is rejected: the trace
+    format has no line for lost traces or indeterminate transactions,
+    so the file would re-check as a different history. *)
 
 val choice : flag:string -> known:string list -> string -> error option
 (** Campaign-grid axis values ([--cell], [--cell-workload]) must name a

@@ -12,6 +12,10 @@ type result = {
 
 let run ?(batch_window_ns = 500_000) ?(gc_every = 512) ?max_stall_ns
     ?gc_watermark ?checkpoint ~il (cfg : Run.config) =
+  if Option.is_some cfg.Run.repl || Option.is_some cfg.Run.shard then
+    invalid_arg
+      "Online.run: replication and shard failovers can name commits already \
+       dispatched; verify those runs offline (Session.of_outcome)";
   (match (checkpoint, gc_watermark) with
   | Some _, None ->
     (* A checkpoint frame is written after each truncation; without a
@@ -44,151 +48,72 @@ let run ?(batch_window_ns = 500_000) ?(gc_every = 512) ?max_stall_ns
      the tick runs at simulated instant k * batch_window_ns. *)
   let now () = !rounds * batch_window_ns in
   let pipeline = Leopard.Pipeline.create ?max_stall_ns ~now ~sources () in
-  let checker = Leopard.Checker.create ~gc_every il in
+  let session = Session.create ~gc_every ?gc_watermark ?checkpoint il in
   let verify_wall = ref 0.0 in
   let max_lag = ref 0 in
-  let final_lag = ref 0 in
-  (* Indeterminate marks must land before the traces they govern are fed:
-     a crash at tick k is marked at tick k+1, ahead of any dispatch of
-     post-crash timestamps.  Ambiguous commits from the wire (client gave
-     up on a COMMIT without learning the outcome) are polled the same
-     way — both calls are idempotent, so re-marking every round is
-     harmless. *)
-  let mark_indeterminates () =
-    (match chaos with
-    | Some ch ->
-      List.iter
-        (fun txn -> Leopard.Checker.mark_indeterminate checker ~txn)
-        (Chaos.indeterminate_txns ch)
-    | None -> ());
-    match cfg.Run.net with
-    | Some rt ->
-      List.iter
-        (fun (_client, txn, _at) ->
-          Leopard.Checker.mark_ambiguous_commit checker ~txn)
-        (Run.net_ambiguous rt)
-    | None -> ()
-  in
-  (* Loss accounting is incremental, not end-of-run: a read checked in
-     round k must already know the collection lost traces in rounds < k,
-     or the checker would flag a violation it cannot actually prove. *)
-  let noted_lost = ref 0 in
-  let noted_late = ref 0 in
-  let sync_losses () =
-    (match chaos with
-    | Some ch ->
-      let lost = Chaos.dropped ch in
-      if lost > !noted_lost then begin
-        Leopard.Checker.note_lost_traces checker (lost - !noted_lost);
-        noted_lost := lost
-      end
-    | None -> ());
-    let late = Leopard.Pipeline.late_dropped pipeline in
-    if late > !noted_late then begin
-      Leopard.Checker.note_late_dropped checker (late - !noted_late);
-      noted_late := late
-    end
-  in
-  (* Bounded-memory mode: once the watermark proves a prefix settled,
-     truncate the checker down to its live window and persist a snapshot
-     frame.  The cadence is by dispatched traces, not rounds, so idle
-     batch windows do not churn checkpoints. *)
-  let ckpt_writer =
-    Option.map
-      (fun path ->
-        let fingerprint =
-          Leopard_trace.Ckpt.fingerprint
-            [
-              "online"; il.Leopard.Il_profile.name; string_of_int gc_every;
-              string_of_int (Option.value ~default:0 gc_watermark);
-            ]
-        in
-        Leopard_trace.Ckpt.writer ~path ~fingerprint)
-      checkpoint
-  in
-  let last_trunc = ref 0 in
-  let maybe_truncate () =
-    match gc_watermark with
-    | None -> ()
-    | Some every ->
-      let d = Leopard.Pipeline.dispatched pipeline in
-      if d - !last_trunc >= max 1 every then begin
-        last_trunc := d;
-        let w = Leopard.Pipeline.watermark pipeline in
-        (* max_int = every source exhausted; the final drain below
-           truncates at the horizon anyway, so skip the degenerate cut *)
-        if w < max_int then begin
-          Leopard.Checker.truncate checker ~watermark:w;
-          Option.iter
-            (fun wr ->
-              Leopard_trace.Ckpt.append wr (Leopard.Checker.encode checker))
-            ckpt_writer
-        end
-      end
-  in
-  let drain () =
-    incr rounds;
-    let lag = !produced - Leopard.Pipeline.dispatched pipeline in
-    if lag > !max_lag then max_lag := lag;
+  let timed f =
     let t0 = Leopard_util.Clock.wall () in
-    mark_indeterminates ();
-    sync_losses ();
-    ignore (Leopard.Pipeline.drain pipeline ~f:(Leopard.Checker.feed checker));
-    sync_losses ();
-    maybe_truncate ();
-    verify_wall := !verify_wall +. (Leopard_util.Clock.wall () -. t0)
+    let r = f () in
+    verify_wall := !verify_wall +. (Leopard_util.Clock.wall () -. t0);
+    r
+  in
+  (* Each round first marks what the run revealed so far: a crash at
+     tick k is marked at tick k+1, ahead of any dispatch of post-crash
+     timestamps, and losses are known before the reads they may explain
+     are checked. *)
+  let verify_round () =
+    timed (fun () ->
+        Session.mark session
+          {
+            Marks.empty with
+            indeterminate =
+              (match chaos with
+              | Some ch -> Chaos.indeterminate_txns ch
+              | None -> []);
+            ambiguous =
+              (match cfg.Run.net with
+              | Some rt -> List.map (fun (_, txn, _) -> txn) (Run.net_ambiguous rt)
+              | None -> []);
+            lost_traces =
+              (match chaos with Some ch -> Chaos.dropped ch | None -> 0);
+          };
+        Session.round session pipeline)
+  in
+  let tick () =
+    incr rounds;
+    max_lag := max !max_lag (!produced - Leopard.Pipeline.dispatched pipeline);
+    verify_round ()
   in
   let observer trace =
     incr produced;
     Queue.push trace queues.(trace.Trace.client)
   in
-  let cfg =
-    { cfg with Run.observer = Some observer; tick = Some (batch_window_ns, drain) }
+  let outcome =
+    Run.execute
+      { cfg with Run.observer = Some observer; tick = Some (batch_window_ns, tick) }
   in
-  let outcome = Run.execute cfg in
   (* the workload stopped: everything left is dispatchable *)
   workload_done := true;
-  let t0 = Leopard_util.Clock.wall () in
-  mark_indeterminates ();
-  sync_losses ();
-  ignore (Leopard.Pipeline.drain pipeline ~f:(Leopard.Checker.feed checker));
-  sync_losses ();
+  verify_round ();
   (* Anything still queued belongs to a source the pipeline closed as
-     crashed before the trace straggled in — lost to the verifier. *)
+     crashed before the trace straggled in — lost to the verifier.  So
+     every produced trace is dispatched, dropped late or stranded, and
+     [final_lag] is exactly what the verifier never saw. *)
   let stranded = Array.fold_left (fun n q -> n + Queue.length q) 0 queues in
-  if stranded > 0 then Leopard.Checker.note_lost_traces checker stranded;
-  (* Honest residual-lag accounting (after the final drain): every
-     produced trace is dispatched, dropped-late, or stranded behind a
-     crashed source — nothing vanishes.  [final_lag] is what the
-     verifier never saw; 0 exactly when collection was complete. *)
-  final_lag := !produced - Leopard.Pipeline.dispatched pipeline;
-  (* Crash–recovery epochs the run spanned: clean restarts keep the
-     verdict intact, recovery damage degrades it. *)
-  List.iter
-    (fun (e : Run.epoch_mark) ->
-      Leopard.Checker.note_restart checker ~at:e.Run.at
-        ~replayed:e.Run.replayed ~damaged:e.Run.damaged)
-    outcome.Run.epochs;
-  (match chaos with
-  | Some ch ->
-    Leopard.Checker.note_crashed_clients checker
-      (List.length (Chaos.crashed_clients ch))
-  | None -> ());
-  Leopard.Checker.finalize checker;
-  (* Final frame after finalize so a post-run inspection sees the
-     settled verdict, then the file is complete. *)
-  Option.iter
-    (fun wr ->
-      Leopard_trace.Ckpt.append wr (Leopard.Checker.encode checker);
-      Leopard_trace.Ckpt.close wr)
-    ckpt_writer;
-  verify_wall := !verify_wall +. (Leopard_util.Clock.wall () -. t0);
+  let final_lag = !produced - Leopard.Pipeline.dispatched pipeline in
+  let report =
+    timed (fun () ->
+        let marks = Marks.of_outcome outcome in
+        Session.mark session
+          { marks with lost_traces = marks.Marks.lost_traces + stranded };
+        Session.finish session)
+  in
   {
     outcome;
-    report = Leopard.Checker.report checker;
+    report;
     verify_wall_s = !verify_wall;
     rounds = !rounds;
     max_lag = !max_lag;
-    final_lag = !final_lag;
+    final_lag;
     stranded;
   }

@@ -24,10 +24,7 @@ type result = {
       (** traces produced but never verified, measured {e after} the
           final drain: exactly [late_dropped + stranded].  0 means the
           verifier saw every produced trace; non-zero is degradation the
-          report already accounts for, never silent loss.  (Earlier
-          versions sampled this before the final drain, so a healthy run
-          showed a spurious backlog and a crashed source's stranded
-          traces were invisible.) *)
+          report already accounts for, never silent loss. *)
   stranded : int;
       (** traces still queued behind a source the pipeline closed as
           crashed — produced, never dispatched, counted into the
@@ -47,31 +44,18 @@ val run :
     paper's 0.5 s scaled to simulator latencies).  The config's
     [observer] and [tick] hooks are taken over by the monitor.
 
-    When the config carries a {!Chaos.t}, the monitor degrades
-    gracefully instead of wedging: a crashed client's source reports
-    {!Leopard.Pipeline.Closed_crashed} (its stream has definitively
-    ended), its in-flight transaction is marked
-    {!Leopard.Checker.mark_indeterminate} before the next dispatch, and
-    collection losses are recorded on the checker so the report's
-    verdict comes out [Inconclusive] rather than a false [Verified] or
-    a spurious violation.  [max_stall_ns] (simulated time, measured in
-    whole batch windows) additionally bounds how long an empty-but-live
-    source may pin the watermark — the liveness backstop when no crash
-    signal is available.
+    The monitor is a live {!Session}: chaos crashes, losses and wire
+    give-ups are marked the round they appear, so the verdict degrades
+    to [Inconclusive] rather than a false one, and a crashed client's
+    source reports {!Leopard.Pipeline.Closed_crashed} instead of
+    pinning the watermark.  [max_stall_ns] (simulated time, in whole
+    batch windows) bounds how long an empty-but-live source may pin it.
+    [gc_watermark] (default: off) truncates once that many traces were
+    dispatched since the last cut; [checkpoint] (requires
+    [gc_watermark], else [Invalid_argument]) receives a frame per cut
+    and a final one after finalize.
 
-    {b Bounded memory.}  [gc_watermark] (default: off) turns the
-    monitor into a truncating one: every time that many traces have
-    been dispatched since the last cut, the checker is truncated at the
-    pipeline watermark ({!Leopard.Checker.truncate}), so
-    [report.peak_live] stays O(window) instead of O(history) no matter
-    how long the workload runs.  Verdicts are unchanged — truncation
-    only forgets state the watermark proves settled.
-
-    [checkpoint] (requires [gc_watermark], else [Invalid_argument])
-    names a file that receives a full checker snapshot frame
-    ({!Leopard.Checker.encode} via {!Leopard_trace.Ckpt}) after each
-    truncation and once more after finalize.  The file makes the
-    monitor's progress durable for post-mortem inspection and
-    crash-tolerance drills; live in-process resume is not supported —
-    the restartable path is the CLI's offline [--resume-check], which
-    re-reads the trace file from a checkpointed cursor. *)
+    Raises [Invalid_argument] on a config with [repl] or [shard]: a
+    failover or coordinator crash can mark a commit lost or ambiguous
+    after its traces were dispatched, so those runs verify offline
+    ({!Session.of_outcome}). *)

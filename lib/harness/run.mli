@@ -61,8 +61,7 @@ type net_rt
 
 val net_ambiguous : net_rt -> (int * int * int) list
 (** [(client, txn, gave_up_at)] of every commit whose outcome the client
-    never learned, oldest first — pollable mid-run by an online monitor
-    (feed the txn ids to [Checker.mark_ambiguous_commit]). *)
+    never learned, oldest first — pollable mid-run by an online monitor. *)
 
 type repl_config = {
   cluster : Leopard_replication.Cluster.config;
@@ -258,15 +257,13 @@ type outcome = {
   leaders : Leopard_trace.Codec.leader_mark list;
       (** failover boundaries, oldest first.  [lost] is what the cluster
           {e reported} lost — empty under the claim-clean replication
-          faults, whose whole point is hiding the truncated suffix.
-          Feed to [Checker.note_failover] before the traces *)
+          faults, whose whole point is hiding the truncated suffix *)
   repl : Leopard_replication.Cluster.stats option;
       (** replication statistics; [None] when not replicated *)
   repl_ambiguous : (int * int * int) list;
       (** [(client, txn, gave_up_at)] of commits whose replication gate
           timed out (applied at the primary, durability across failover
-          unknown), oldest first — feed to
-          [Checker.mark_ambiguous_commit] *)
+          unknown), oldest first *)
   shard : Leopard_shard.Group.stats option;
       (** shard-group statistics; [None] off the shard plane *)
   shard_repl : Leopard_compose.Stack.stats option;
@@ -275,14 +272,11 @@ type outcome = {
           marks), never as a degradation channel *)
   coord_ambiguous : (int * int * int) list;
       (** [(client, txn, orphaned_at)] of commits whose 2PC coordinator
-          crashed before deciding, oldest first — feed to
-          [Checker.mark_coord_ambiguous] *)
+          crashed before deciding, oldest first *)
   shard_marks : Leopard_trace.Codec.shard_mark list;
       (** the group-topology declaration ([S] line) when sharded *)
   prepare_marks : Leopard_trace.Codec.prepare_mark list;
-      (** 2PC round dispositions ([P] lines), oldest first; feed the
-          [Unknown] ones to [Checker.mark_coord_ambiguous] before the
-          traces *)
+      (** 2PC round dispositions ([P] lines), oldest first *)
 }
 
 and net_stats = {
@@ -296,7 +290,7 @@ and net_stats = {
   give_ups : int;  (** calls settled without any reply *)
   ambiguous : (int * int * int) list;
       (** [(client, txn, gave_up_at)] of commits with unknown outcome,
-          oldest first — feed to [Checker.mark_ambiguous_commit] *)
+          oldest first *)
   dup_commit_acks : int;
       (** COMMITs the engine acknowledged idempotently (retried or
           link-duplicated commit tokens that had already been applied) *)

@@ -18,16 +18,7 @@
 let magic = "leopard-check-checkpoint"
 let version = "v1"
 
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let checksum payload = Printf.sprintf "%016Lx" (fnv64 payload)
+let checksum = Leopard_util.Fnv.hex
 
 let fingerprint components =
   (* Length-prefix each component so ["ab";"c"] and ["a";"bc"] differ. *)
