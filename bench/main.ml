@@ -803,6 +803,51 @@ let online () =
   print_endline
     "\nthe memory claim: 10x the history, same peak live state — the\n\
      truncating checker holds a window, not a history.";
+  (* The same claim under lossy collection, on the CLI's chaos run
+     (leopard -w smallbank -i SR --clients 8 --seed 1 --chaos-seed 3
+     --chaos-drop 0.001 --chaos-dup 0.01 --chaos-delay 0.02
+     --gc-watermark 5000): a lost terminal trace leaves its transaction
+     unterminated, and it must cost that transaction, not all pruning
+     after it. *)
+  let lossy_window = 5_000 in
+  Printf.printf
+    "\nlossy collection (SmallBank, 0.1%% dropped, 1%% duplicated, 2%% \
+     delayed; truncate every %d traces):\n"
+    lossy_window;
+  let lossy =
+    List.map
+      (fun txns ->
+        let chaos =
+          H.Chaos.config ~seed:3 ~drop_prob:0.001 ~dup_prob:0.01
+            ~delay_prob:0.02 ()
+        in
+        let outcome =
+          H.Run.execute
+            (H.Run.config ~clients:8 ~seed:1 ~chaos ~spec:(W.Smallbank.spec ())
+               ~profile:pg ~level:sr ~stop:(H.Run.Txn_count txns) ())
+        in
+        let t0 = wall () in
+        let r = H.Session.of_outcome ~gc_watermark:lossy_window il_sr outcome in
+        (txns, r.H.Session.report, wall () -. t0))
+      [ 10_000; 40_000 ]
+  in
+  Table.print
+    ~header:
+      [ "txns"; "traces"; "peak live"; "cuts"; "deps folded"; "unterminated";
+        "wall(s)"; "bugs" ]
+    (List.map
+       (fun (txns, (r : Leopard.Checker.report), dt) ->
+         [
+           Table.fmt_int txns;
+           Table.fmt_int r.Leopard.Checker.traces;
+           Table.fmt_int r.Leopard.Checker.peak_live;
+           Table.fmt_int r.Leopard.Checker.truncations;
+           Table.fmt_int r.Leopard.Checker.truncated_deps;
+           Table.fmt_int r.Leopard.Checker.degradation.unterminated_txns;
+           Table.fmt_float ~decimals:2 dt;
+           string_of_int r.Leopard.Checker.bugs_total;
+         ])
+       lossy);
   if !emit_json then begin
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n  \"live\": [\n";
@@ -846,6 +891,23 @@ let online () =
              verdict r.Leopard.Checker.bugs_total
              (if i = List.length soak - 1 then "" else ",")))
       soak;
+    Buffer.add_string buf "    ]\n  },\n";
+    Buffer.add_string buf
+      (Printf.sprintf "  \"lossy\": {\n    \"window\": %d,\n    \"scales\": [\n"
+         lossy_window);
+    List.iteri
+      (fun i (txns, (r : Leopard.Checker.report), dt) ->
+        Buffer.add_string buf
+          (Printf.sprintf
+             "      {\"txns\": %d, \"traces\": %d, \"peak_live\": %d, \
+              \"truncations\": %d, \"truncated_deps\": %d, \
+              \"unterminated_txns\": %d, \"wall_s\": %.3f, \"bugs\": %d}%s\n"
+             txns r.Leopard.Checker.traces r.Leopard.Checker.peak_live
+             r.Leopard.Checker.truncations r.Leopard.Checker.truncated_deps
+             r.Leopard.Checker.degradation.unterminated_txns dt
+             r.Leopard.Checker.bugs_total
+             (if i = List.length lossy - 1 then "" else ",")))
+      lossy;
     Buffer.add_string buf "    ]\n  }\n}\n";
     let oc = open_out "BENCH_online.json" in
     output_string oc (Buffer.contents buf);

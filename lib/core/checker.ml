@@ -137,6 +137,14 @@ type t = {
       (* (client, txn, ts_bef) of traces at the current frontier, for
          dropping chaos-duplicated deliveries *)
   mutable dedup_ts : int;
+  client_txn : (int, int) Hashtbl.t;
+      (* client -> the transaction of its latest fed trace *)
+  superseded : (int, unit) Hashtbl.t;
+      (* transactions whose client moved on while they were active: they
+         have no future statements, so [horizon] skips them.  The mark
+         outlives the transaction's activity only when it resumed after a
+         prune passed its start (see [resume]). *)
+  mutable pruned_to : int;  (* the highest horizon any prune has used *)
   mutable frontier : int;
   mutable traces : int;
   mutable committed : int;
@@ -195,6 +203,9 @@ let create ?(gc_every = 512) ?(narrow_candidates = true)
     awaiting = Hashtbl.create 8;
     dedup_seen = Hashtbl.create 64;
     dedup_ts = min_int;
+    client_txn = Hashtbl.create 16;
+    superseded = Hashtbl.create 16;
+    pruned_to = min_int;
     deferred =
       Leopard_util.Min_heap.create ~compare:(fun a b ->
           Int.compare (Interval.aft a.read_iv) (Interval.aft b.read_iv));
@@ -778,13 +789,18 @@ let flush_deferred t ~upto =
 (* ------------------------------------------------------------------ *)
 (* GC *)
 
+(* The earliest snapshot any future statement can take: the frontier for
+   transactions not yet seen, the first operation for active ones that
+   may still issue statements.  A superseded transaction issues none
+   ([follow_client]), so it does not pin the horizon. *)
 let horizon t =
   let h =
     (* lint: allow hashtbl-order — min-fold; commutative and associative *)
     Hashtbl.fold
       (fun _ v acc ->
         match (v.vstatus, v.first_iv) with
-        | Active, Some iv -> min acc (Interval.bef iv)
+        | Active, Some iv when not (Hashtbl.mem t.superseded v.vid) ->
+          min acc (Interval.bef iv)
         | _ -> acc)
       t.txns t.frontier
   in
@@ -798,6 +814,7 @@ let horizon t =
     (Leopard_util.Min_heap.to_sorted_list t.deferred)
 
 let prune_to t h =
+  if h > t.pruned_to then t.pruned_to <- h;
   t.pruned_versions <-
     t.pruned_versions + Version_order.prune t.versions ~horizon:h;
   t.pruned_locks <- t.pruned_locks + Me_verifier.prune t.me ~horizon:h;
@@ -820,7 +837,11 @@ let prune_to t h =
         | _ -> acc)
       t.txns []
   in
-  List.iter (Hashtbl.remove t.txns) victims
+  List.iter
+    (fun id ->
+      Hashtbl.remove t.txns id;
+      Hashtbl.remove t.superseded id)
+    victims
 
 let run_gc t = prune_to t (horizon t)
 
@@ -975,7 +996,12 @@ let handle_read t (v : vtxn) trace items locking =
           | None -> Some (i.cell, i.value))
         items
     in
-    if deferred_items <> [] then
+    if Hashtbl.mem t.superseded v.vid then
+      (* resumed after a prune passed its snapshot ([resume]): the
+         versions it could see may be gone *)
+      t.inconclusive_reads <-
+        t.inconclusive_reads + List.length deferred_items
+    else if deferred_items <> [] then
       Leopard_util.Min_heap.push t.deferred
         {
           reader = v.vid;
@@ -1105,6 +1131,40 @@ let duplicate_delivery t trace =
     Hashtbl.replace t.dedup_seen key trace;
     false
 
+(* The horizon premise: clients are sequential, so once a client's trace
+   names another transaction, its previous one has returned and every
+   trace it still has carries a [ts_bef] below the frontier — [feed]
+   refuses such a trace and the pipeline drops it as late.  A previous
+   transaction still active (its terminal trace was lost) is therefore
+   superseded.  It stays [Active], so a later mark still applies and
+   [finalize] still counts it unterminated, but it stops pinning
+   [horizon]: one lost terminal costs one transaction, not every prune
+   after it. *)
+(* A client interleaving transactions breaks the premise.  If no prune
+   passed the superseded transaction's first [ts_bef], nothing it could
+   need is gone: the mark is cleared and checking goes on exactly as
+   without it.  Otherwise the transaction becomes indeterminate (like a
+   terminal meeting an earlier declaration) and keeps the mark, which
+   makes its reads inconclusive: the verdict degrades, it never turns
+   into a false violation. *)
+let resume t (v : vtxn) =
+  match v.first_iv with
+  | Some f when Interval.bef f < t.pruned_to ->
+    if v.vstatus = Active then mark_indeterminate t ~txn:v.vid
+  | Some _ | None -> Hashtbl.remove t.superseded v.vid
+
+(* Only a trace that switches its client's transaction can supersede
+   one or resume one, so the common case costs a single lookup. *)
+let follow_client t client (v : vtxn) =
+  match Hashtbl.find_opt t.client_txn client with
+  | Some prev when prev = v.vid -> ()
+  | prev ->
+    (match Option.bind prev (Hashtbl.find_opt t.txns) with
+    | Some p when p.vstatus = Active -> Hashtbl.replace t.superseded p.vid ()
+    | Some _ | None -> ());
+    Hashtbl.replace t.client_txn client v.vid;
+    if Hashtbl.mem t.superseded v.vid then resume t v
+
 let rec feed t trace =
   if trace.Trace.ts_bef < t.frontier then
     invalid_arg
@@ -1123,6 +1183,7 @@ and feed_fresh t trace =
   flush_deferred t ~upto:t.frontier;
   let v = vtxn t trace.Trace.txn in
   if v.first_iv = None then v.first_iv <- Some (Trace.interval trace);
+  follow_client t trace.Trace.client v;
   (match trace.Trace.payload with
   | Trace.Read { items; locking } -> handle_read t v trace items locking
   | Trace.Write items -> handle_write t v trace items
@@ -1477,6 +1538,13 @@ let encode t =
   id_set "resolved" t.resolved_ids;
   id_set "lost" t.lost_ids;
   id_set "coord" t.coord_ids;
+  id_set "superseded" t.superseded;
+  line
+    (Printf.sprintf "cl\t%d\t%s" t.pruned_to
+       (Hashtbl.fold (fun client txn acc -> (client, txn) :: acc) t.client_txn []
+       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+       |> List.map (fun (client, txn) -> Printf.sprintf "%d,%d" client txn)
+       |> String.concat ";"));
   Hashtbl.fold (fun reader entries acc -> (reader, !entries) :: acc) t.awaiting []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (reader, entries) ->
@@ -1525,6 +1593,7 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
     ?(relaxed_reads = false) (profile : Il_profile.t) lines =
   try
     let header = ref None and scalars = ref None and forgotten = ref None in
+    let clients = ref None in
     let mech = ref [] and bugs = ref [] in
     let txn_lines = ref [] and write_lines = ref [] and dep_lines = ref [] in
     let deferred_lines = ref [] and ir_lines = ref [] in
@@ -1540,6 +1609,7 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
         | "h" -> header := Some rest
         | "s" -> scalars := Some rest
         | "fs" -> forgotten := Some rest
+        | "cl" -> clients := Some rest
         | "mc" -> push mech
         | "b" -> push bugs
         | "x" -> push txn_lines
@@ -1732,6 +1802,28 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
       | Some table -> table
       | None -> Hashtbl.create 8
     in
+    (* A snapshot from before superseding existed has no client record:
+       nothing is superseded, and none of its prunes passed an active
+       transaction, so [min_int] is the exact prune bound. *)
+    let client_txn = Hashtbl.create 16 in
+    let pruned_to =
+      match !clients with
+      | None -> min_int
+      | Some rest -> (
+        match String.split_on_char '\t' rest with
+        | [ bound; pairs ] ->
+          if pairs <> "" then
+            List.iter
+              (fun part ->
+                match String.split_on_char ',' part with
+                | [ client; txn ] ->
+                  Hashtbl.replace client_txn (int_of_string client)
+                    (int_of_string txn)
+                | _ -> failwith "Checker.decode: malformed client entry")
+              (String.split_on_char ';' pairs);
+          int_of_string bound
+        | _ -> failwith "Checker.decode: malformed client record")
+    in
     let awaiting = Hashtbl.create 8 in
     List.iter
       (fun rest ->
@@ -1866,6 +1958,9 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
             awaiting;
             dedup_seen;
             dedup_ts;
+            client_txn;
+            superseded = id_set "superseded";
+            pruned_to;
             frontier;
             traces;
             committed;

@@ -24,7 +24,29 @@
     Obsolete state is pruned periodically: versions behind the pivot of
     every possible future snapshot, released locks behind the horizon,
     FUW entries behind the horizon and garbage transactions of the
-    dependency graph (Definition 4, Theorem 5). *)
+    dependency graph (Definition 4, Theorem 5).
+
+    {b The horizon} is the earliest snapshot a {e future} statement can
+    take: the frontier, lowered to the first operation of every active
+    transaction that may still issue statements.  Its premise is that
+    clients are sequential (closed-loop): a client starts its next
+    transaction only after the previous one returned.  So when a trace
+    names a different transaction than its client's previous one, that
+    previous transaction — if still active because its terminal trace
+    was lost — is {e superseded}: any trace it still has lies behind the
+    frontier, where [feed] refuses it and the pipeline drops it as late.
+    A superseded transaction keeps its status (marks still apply, and
+    {!finalize} still counts it unterminated) but no longer pins the
+    horizon, so a lost terminal costs one transaction instead of all
+    pruning and truncation from then on.
+
+    A client that interleaves transactions is outside the trace model
+    and is guarded: when a superseded transaction gets another trace, the
+    mark is cleared if no prune has passed its first [ts_bef] (checking
+    proceeds exactly as if it had never been set); otherwise the
+    transaction becomes indeterminate and its reads inconclusive, so the
+    verdict degrades to [Inconclusive] and never becomes a false
+    [Violation]. *)
 
 module Trace = Leopard_trace.Trace
 
@@ -174,7 +196,8 @@ type degradation = {
           neither verified nor a violation *)
   unterminated_txns : int;
       (** transactions with no terminal trace and no indeterminate mark
-          at [finalize] (truncated collection); 0 before [finalize] *)
+          at [finalize] (truncated or lossy collection), superseded ones
+          included; decided only by [finalize], 0 before it *)
   restarts : int;  (** crash–recovery epochs ({!note_restart}) *)
   recovery_lost_records : int;
       (** WAL records damaged across all recoveries; non-zero weakens

@@ -10,6 +10,7 @@
    - the live monitor refuses the failover planes;
    - --gc-watermark and --check-checkpoint work on a plain workload run;
    - --record refuses a chaos run, whose losses the format cannot hold;
+   - killing and resuming a check of a lossy file reports byte-identically;
    - the checkpoint fingerprint binds the whole input file;
    - FNV-1a keeps its standard outputs. *)
 
@@ -268,6 +269,68 @@ let test_record_refuses_chaos () =
     (List.length (String.split_on_char '\n' (String.trim text)));
   Alcotest.(check bool) "no file written" false (Sys.file_exists path)
 
+(* --- kill and resume ------------------------------------------------ *)
+
+(* A report without the lines that legitimately differ between a fresh
+   and a resumed check. *)
+let flat text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         not
+           (String.starts_with ~prefix:"resumed  :" l
+           || String.starts_with ~prefix:"checkpoint " l))
+  |> List.map (fun l ->
+         (* drop the ", X ms wall" tail *)
+         if String.starts_with ~prefix:"checked  :" l then
+           String.sub l 0 (String.rindex l ',')
+         else l)
+  |> String.concat "\n"
+
+(* A lossy file: a few commit lines corrupted, so --lenient loses their
+   traces and the transactions stay unterminated, superseded by their
+   clients' next ones.  The resumed report — truncate peak included —
+   matches the uninterrupted one only if the checkpoint carries the
+   client map and the superseded marks. *)
+let test_lossy_kill_resume () =
+  let trace = Filename.temp_file "leopard_session" ".trace" in
+  let ck = Filename.temp_file "leopard_session" ".ck" in
+  check_exit "record" 0
+    (run_cli
+       [ "-w"; "smallbank"; "-d"; "postgresql"; "-i"; "SI"; "-n"; "2000";
+         "--clients"; "8"; "--seed"; "5"; "--record"; trace ]);
+  let commits = ref 0 in
+  let corrupted =
+    String.split_on_char '\n' (read_file trace)
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"C " l then begin
+             incr commits;
+             if !commits mod 20 = 0 then "C corrupted" else l
+           end
+           else l)
+    |> String.concat "\n"
+  in
+  let oc = open_out_bin trace in
+  output_string oc corrupted;
+  close_out oc;
+  let check_args extra =
+    [ "--check"; trace; "-d"; "postgresql"; "-i"; "SI"; "--lenient";
+      "--gc-watermark"; "500"; "--check-checkpoint"; ck ]
+    @ extra
+  in
+  let ((_, fresh) as res) = run_cli (check_args []) in
+  check_exit "lossy check" 3 res;
+  Alcotest.(check bool) "commits were lost" true
+    (contains fresh "transactions unterminated");
+  ignore (run_cli (check_args [ "--check-kill-after"; "3000" ]));
+  let ((_, resumed) as res) = run_cli (check_args [ "--resume-check" ]) in
+  check_exit "resume" 3 res;
+  Alcotest.(check bool) "resumed from the checkpoint" true
+    (contains resumed "resumed  : trace 3000/");
+  Alcotest.(check string) "resumed report equals uninterrupted" (flat fresh)
+    (flat resumed);
+  Sys.remove trace;
+  Sys.remove ck
+
 (* --- the fingerprint binds the whole file -------------------------- *)
 
 let test_fingerprint_binds_whole_file () =
@@ -278,20 +341,6 @@ let test_fingerprint_binds_whole_file () =
     [ "--check"; trace; "-d"; "postgresql"; "-i"; "SI"; "--gc-watermark";
       "100"; "--check-checkpoint"; ck ]
     @ extra
-  in
-  (* the report without the lines that legitimately differ *)
-  let flat text =
-    String.split_on_char '\n' text
-    |> List.filter (fun l ->
-           not
-             (String.starts_with ~prefix:"resumed  :" l
-             || String.starts_with ~prefix:"checkpoint " l))
-    |> List.map (fun l ->
-           (* drop the ", X ms wall" tail *)
-           if String.starts_with ~prefix:"checked  :" l then
-             String.sub l 0 (String.rindex l ',')
-           else l)
-    |> String.concat "\n"
   in
   let code, fresh = run_cli (check_args []) in
   (* an intact file resumes from the last frame *)
@@ -343,6 +392,8 @@ let suite =
       test_workload_run_truncates_and_checkpoints;
     Alcotest.test_case "record refuses a chaos run" `Quick
       test_record_refuses_chaos;
+    Alcotest.test_case "lossy kill and resume: byte-identical report" `Quick
+      test_lossy_kill_resume;
     Alcotest.test_case "checkpoint fingerprint binds whole file" `Quick
       test_fingerprint_binds_whole_file;
     Alcotest.test_case "fnv-1a standard vectors" `Quick test_fnv_vectors;

@@ -11,10 +11,18 @@
    - [Checker.truncate] changes memory, never verdicts: a truncating
      pass reports the same totals, the same bugs and the same verdict
      as an untruncated pass, across a 50-seed sweep;
-   - truncated live state is O(window), not O(history);
+   - truncated live state is O(window), not O(history), lossy collection
+     included: a transaction whose terminal trace was lost is superseded
+     by its client's next one and stops pinning the horizon;
+   - a client that interleaves transactions (outside the trace model)
+     gets the report of the same history on separate clients when
+     nothing was pruned past its transactions, and an
+     Inconclusive verdict, never a false Violation, when it was;
    - [Checker.encode]/[decode] round-trip mid-stream: a decoded checker
      fed the remaining stream reproduces the uninterrupted report
-     field-for-field, and refuses foreign profiles/flags;
+     field-for-field, superseded state included, and refuses foreign
+     profiles/flags; a snapshot without that state still resumes to the
+     same verdict;
    - the [Ckpt] container survives the campaign checkpoint's 18-way
      damage ladder: any corruption degrades to an older frame or a
      fresh start with a warning, never to trusting damaged bytes;
@@ -327,6 +335,260 @@ let test_decode_rejects_foreign () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("decode rejected its own flags: " ^ msg)
 
+(* A lossy history: every 40th commit trace lost in collection, so its
+   transaction stays unterminated and is superseded by its client's
+   next one. *)
+let lossy_traces seed =
+  let o = H.Run.execute (online_config ~seed ~txns:600 ()) in
+  let commits = ref 0 in
+  List.filter
+    (fun (tr : Trace.t) ->
+      match tr.payload with
+      | Trace.Commit ->
+        incr commits;
+        !commits mod 40 <> 0
+      | Trace.Read _ | Trace.Write _ | Trace.Abort -> true)
+    (H.Run.all_traces_sorted o)
+
+(* Feed [traces] as trace [start], [start + 1], ... of a stream that
+   truncates after every [window]-th trace. *)
+let feed_from ?(window = 40) checker ~start traces =
+  List.iteri
+    (fun i (tr : Trace.t) ->
+      Leopard.Checker.feed checker tr;
+      if (start + i + 1) mod window = 0 then
+        Leopard.Checker.truncate checker ~watermark:tr.Trace.ts_bef)
+    traces
+
+let test_lossy_snapshot_roundtrip () =
+  for seed = 0 to 4 do
+    let traces = lossy_traces seed in
+    let cut = 40 * (List.length traces / 80) in
+    let first, rest = split_at cut traces in
+    let a = Leopard.Checker.create il_sr in
+    (* reads of a lost commit's writes are then inconclusive, not bugs *)
+    Leopard.Checker.note_lost_traces a 1;
+    feed_from a ~start:0 first;
+    let lines = Leopard.Checker.encode a in
+    let superseded =
+      List.exists
+        (fun l ->
+          String.starts_with ~prefix:"id\tsuperseded\t" l
+          && l <> "id\tsuperseded\t")
+        lines
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: the snapshot carries superseded marks" seed)
+      true superseded;
+    let decode lines =
+      match Leopard.Checker.decode il_sr lines with
+      | Ok c -> c
+      | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
+    in
+    let b = decode lines in
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d: encode is a fixpoint" seed)
+      lines (Leopard.Checker.encode b);
+    (* a snapshot written before superseding existed has neither the
+       client record nor the superseded set *)
+    let old =
+      decode
+        (List.filter
+           (fun l ->
+             not
+               (String.starts_with ~prefix:"cl\t" l
+               || String.starts_with ~prefix:"id\tsuperseded\t" l))
+           lines)
+    in
+    List.iter (fun c -> feed_from c ~start:cut rest) [ a; b; old ];
+    List.iter Leopard.Checker.finalize [ a; b; old ];
+    let ra = Leopard.Checker.report a and rb = Leopard.Checker.report b in
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: resumed report equals uninterrupted" seed)
+      (digest ra) (digest rb);
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "seed %d: resumed peak and folded deps" seed)
+      (ra.peak_live, ra.truncated_deps)
+      (rb.peak_live, rb.truncated_deps);
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: an old snapshot resumes to the same verdict"
+         seed)
+      (verdict_digest ra)
+      (verdict_digest (Leopard.Checker.report old))
+  done
+
+(* --- the horizon premise: sequential clients ------------------------- *)
+
+(* T1 takes its snapshot at [60,65], then client 0 moves on to T2 and
+   later resumes T1 — the interleaving the trace model excludes.  x's
+   versions are chosen so that T1 may legally read x=2 (To's commit
+   overlaps Tq's, and ME/FUW order Tq before To), yet a prune at 80,
+   which the superseded T1 no longer pins, drops To's version while
+   keeping Tq's as a pivot: checked against the pruned chain, T1's read
+   would be a false stale read.  [t1_client] moves T1 to a client of its
+   own, where nothing is ever superseded. *)
+let interleaved ~t1_client =
+  let x = Helpers.cell 0 and y = Helpers.cell 1 in
+  let z = Helpers.cell 2 and w = Helpers.cell 3 in
+  [
+    Helpers.write ~client:1 ~txn:10 ~bef:0 ~aft:5 [ (x, 1) ];
+    Helpers.commit ~client:1 ~txn:10 ~bef:10 ~aft:60 ();
+    Helpers.write ~client:2 ~txn:11 ~bef:20 ~aft:25 [ (x, 2) ];
+    Helpers.commit ~client:2 ~txn:11 ~bef:30 ~aft:40 ();
+    Helpers.write ~client:3 ~txn:12 ~bef:45 ~aft:48 [ (x, 3) ];
+    Helpers.commit ~client:3 ~txn:12 ~bef:50 ~aft:70 ();
+    Helpers.read ~client:t1_client ~txn:1 ~bef:60 ~aft:65 [ (y, 0) ];
+    Helpers.write ~client:0 ~txn:2 ~bef:66 ~aft:67 [ (z, 1) ];
+    Helpers.commit ~client:0 ~txn:2 ~bef:68 ~aft:69 ();
+    Helpers.read ~client:4 ~txn:3 ~bef:80 ~aft:81 [ (w, 0) ];
+    Helpers.commit ~client:4 ~txn:3 ~bef:82 ~aft:83 ();
+    Helpers.read ~client:t1_client ~txn:1 ~bef:100 ~aft:101 [ (x, 2) ];
+    Helpers.commit ~client:t1_client ~txn:1 ~bef:102 ~aft:103 ();
+  ]
+
+(* Every transaction on client 0, interleaved: T1 and T2 both update x
+   concurrently, a lost update that FUW and ME must still convict. *)
+let interleaved_lost_update ~t2_client =
+  let x = Helpers.cell 0 in
+  [
+    Helpers.read ~txn:1 ~bef:0 ~aft:1 [ (x, 0) ];
+    Helpers.read ~client:t2_client ~txn:2 ~bef:2 ~aft:3 [ (x, 0) ];
+    Helpers.write ~txn:1 ~bef:4 ~aft:5 [ (x, 1) ];
+    Helpers.write ~client:t2_client ~txn:2 ~bef:6 ~aft:7 [ (x, 2) ];
+    Helpers.commit ~txn:1 ~bef:8 ~aft:9 ();
+    Helpers.commit ~client:t2_client ~txn:2 ~bef:10 ~aft:11 ();
+  ]
+
+let test_interleaved_client_unpruned () =
+  let si = Il.postgresql_si in
+  let same name on_client_0 on_own_client =
+    Alcotest.(check string) name
+      (digest (Helpers.check si on_own_client))
+      (digest (Helpers.check si on_client_0))
+  in
+  same "clean history: interleaving changes nothing"
+    (interleaved ~t1_client:0) (interleaved ~t1_client:5);
+  same "lost update: interleaving changes nothing"
+    (interleaved_lost_update ~t2_client:0)
+    (interleaved_lost_update ~t2_client:5);
+  let r = Helpers.check si (interleaved ~t1_client:0) in
+  Alcotest.(check bool) "clean history verifies" true
+    (Leopard.Checker.verdict r = Leopard.Checker.Verified);
+  Alcotest.(check bool) "the lost update is still convicted" true
+    ((Helpers.check si (interleaved_lost_update ~t2_client:0)).bugs_total > 0)
+
+let test_interleaved_client_pruned () =
+  let checker = Leopard.Checker.create ~gc_every:1 Il.postgresql_si in
+  List.iter (Leopard.Checker.feed checker) (interleaved ~t1_client:0);
+  Leopard.Checker.finalize checker;
+  let r = Leopard.Checker.report checker in
+  Alcotest.(check int) "no false violation" 0 r.bugs_total;
+  Alcotest.(check int) "the resumed transaction is indeterminate" 1
+    r.degradation.indeterminate_txns;
+  Alcotest.(check int) "its read is inconclusive" 1
+    r.degradation.inconclusive_reads;
+  match Leopard.Checker.verdict r with
+  | Leopard.Checker.Inconclusive _ -> ()
+  | Leopard.Checker.Verified | Leopard.Checker.Violation ->
+    Alcotest.fail "expected Inconclusive"
+
+(* --- lossy chaos: superseding never changes a verdict ---------------- *)
+
+let lossy_chaos seed =
+  H.Chaos.config ~seed
+    ~crash_prob:(if seed mod 3 = 0 then 0.002 else 0.0)
+    ~drop_prob:0.005 ~dup_prob:0.01 ~delay_prob:0.03 ()
+
+let sweep_specs =
+  [ ("blindw-rw", W.Blindw.spec W.Blindw.RW); ("smallbank", W.Smallbank.spec ()) ]
+
+let test_lossy_chaos_sweep () =
+  List.iter
+    (fun (name, spec) ->
+      for seed = 0 to 29 do
+        (* a config carries its run's chaos state: one per run *)
+        let cfg () =
+          H.Run.config ~chaos:(lossy_chaos seed) ~clients:8 ~seed ~spec
+            ~profile:Minidb.Profile.postgresql
+            ~level:Minidb.Isolation.Serializable ~stop:(H.Run.Txn_count 300) ()
+        in
+        let o = H.Run.execute (cfg ()) in
+        let offline ?gc_every ?gc_watermark () =
+          verdict_digest
+            (H.Session.of_outcome ?gc_every ?gc_watermark il_sr o).report
+        in
+        (* no pruning at all, so no horizon rule can act *)
+        let unpruned = offline ~gc_every:0 () in
+        let what = Printf.sprintf "%s seed %d" name seed in
+        Alcotest.(check string) (what ^ ": truncating session") unpruned
+          (offline ~gc_watermark:97 ());
+        (* the live monitor drops late traces an offline pass never sees,
+           so it is compared with its own unpruned run *)
+        let online ?gc_every ?gc_watermark () =
+          verdict_digest
+            (H.Online.run ~max_stall_ns:2_000_000 ?gc_every ?gc_watermark
+               ~il:il_sr (cfg ()))
+              .report
+        in
+        Alcotest.(check string) (what ^ ": truncating online monitor")
+          (online ~gc_every:0 ()) (online ~gc_watermark:200 ())
+      done)
+    sweep_specs
+
+let test_lossy_chaos_probes () =
+  List.iter
+    (fun (p : W.Probes.probe) ->
+      for seed = 0 to 1 do
+        let o =
+          H.Run.execute
+            (H.Run.config ~chaos:(lossy_chaos seed)
+               ~faults:(Minidb.Fault.Set.singleton p.fault)
+               ~clients:p.clients ~seed ~spec:p.spec ~profile:p.db_profile
+               ~level:p.level ~stop:(H.Run.Txn_count (min p.txns 400)) ())
+        in
+        let il = Option.get (Il.find p.verifier_profile) in
+        let per_mechanism ?gc_every ?gc_watermark () =
+          List.map
+            (fun (m, n) -> (Leopard.Bug.mechanism_to_string m, n))
+            (H.Session.of_outcome ?gc_every ?gc_watermark il o).report
+              .bugs_by_mechanism
+        in
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "%s seed %d: bugs per mechanism"
+             (Minidb.Fault.to_string p.fault) seed)
+          (per_mechanism ~gc_every:0 ())
+          (per_mechanism ~gc_watermark:97 ())
+      done)
+    (W.Probes.all ())
+
+(* --- bounded memory under loss -------------------------------------- *)
+
+(* The benchmark's lossy online configuration at two history sizes: a
+   lost terminal trace must not freeze pruning, so peak live state
+   stays flat as the history grows 4x. *)
+let test_lossy_online_memory_flat () =
+  let run txns =
+    let cfg =
+      H.Run.config
+        ~chaos:
+          (H.Chaos.config ~seed:3 ~drop_prob:0.001 ~dup_prob:0.01
+             ~delay_prob:0.02 ~max_delay_ns:300_000 ())
+        ~clients:8 ~seed:1 ~spec:(W.Smallbank.spec ())
+        ~profile:Minidb.Profile.postgresql ~level:Minidb.Isolation.Serializable
+        ~stop:(H.Run.Txn_count txns) ()
+    in
+    (H.Online.run ~max_stall_ns:2_000_000 ~gc_watermark:2_000 ~il:il_sr cfg)
+      .report
+  in
+  let small = run 8_000 and large = run 32_000 in
+  Alcotest.(check bool) "terminal traces were lost" true
+    (large.degradation.unterminated_txns > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak live flat across 4x history (%d vs %d)"
+       small.peak_live large.peak_live)
+    true
+    (large.peak_live <= small.peak_live + (small.peak_live / 5))
+
 (* --- the checkpoint container: damage degrades, never lies --------- *)
 
 let frame_payloads =
@@ -528,6 +790,18 @@ let suite =
       test_encode_decode_roundtrip;
     Alcotest.test_case "decode rejects foreign profile and flags" `Quick
       test_decode_rejects_foreign;
+    Alcotest.test_case "lossy snapshot carries the superseded state" `Quick
+      test_lossy_snapshot_roundtrip;
+    Alcotest.test_case "interleaved client, never pruned: same report"
+      `Quick test_interleaved_client_unpruned;
+    Alcotest.test_case "interleaved client, pruned: inconclusive" `Quick
+      test_interleaved_client_pruned;
+    Alcotest.test_case "lossy chaos: truncation keeps verdicts (60 runs)"
+      `Quick test_lossy_chaos_sweep;
+    Alcotest.test_case "lossy chaos: planted faults keep their bugs" `Quick
+      test_lossy_chaos_probes;
+    Alcotest.test_case "lossy online monitor: peak live flat" `Quick
+      test_lossy_online_memory_flat;
     Alcotest.test_case "ckpt container round-trips exactly" `Quick
       test_ckpt_roundtrip;
     Alcotest.test_case "ckpt ignores foreign fingerprints" `Quick
