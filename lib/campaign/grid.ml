@@ -162,8 +162,6 @@ let cells g =
       let seed = Leopard_util.Rng.derive ~seed:g.campaign_seed ~index in
       { index; seed; clazz })
 
-let sub_seed cell salt = Leopard_util.Rng.derive ~seed:cell.seed ~index:salt
-
 let scale ~txns ~clients c =
   if txns <= 0 || clients <= 0 then invalid_arg "Grid.scale: non-positive";
   { c with txns; clients }
@@ -277,79 +275,82 @@ let find_preset name = List.assoc_opt name presets
 
 (* {2 Standalone reproduction}
 
-   The rendered line must build the exact Run.config the runner builds:
-   same workload seed (the cell seed), same fault-plane stream seeds
-   (sub_seed with the plane's fixed salt).  Salt registry: 1 = primary
-   environment stream (chaos / wire link / WAL damage / replication
-   link / shard link), 2 = secondary stream (per-shard replica sets). *)
+   A cell is defined by its reproducer line: the runner parses [args]
+   through the same flag mapping as the CLI, so the printed line
+   replays the cell by construction.  Every fault-plane stream seed is
+   derived from the cell seed at index 1; each plane has its own seed
+   flag, so the planes of one cell still draw from independent streams. *)
 
-let common cell =
+(* The shortest decimal that parses back to the same float: a rate
+   printed with six significant digits would run as a different cell. *)
+let num f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || Float.equal (float_of_string s) f then s else go (p + 1)
+  in
+  go 1
+
+let args cell =
   let c = cell.clazz in
-  Printf.sprintf "leopard -w %s -d postgresql -i %s --txns %d --clients %d \
-                  --seed %d"
-    c.workload
-    (String.lowercase_ascii (Minidb.Isolation.level_to_string c.level))
-    c.txns c.clients cell.seed
-
-let retries c = if c.max_retries = 0 then "" else
-    Printf.sprintf " --max-retries %d" c.max_retries
-
-let repeat flag is =
-  String.concat "" (List.map (Printf.sprintf " %s %d" flag) is)
+  let int = string_of_int in
+  let env = int (Leopard_util.Rng.derive ~seed:cell.seed ~index:1) in
+  let each flag render xs = List.concat_map (fun x -> [ flag; render x ]) xs in
+  [
+    "-w"; c.workload; "-d"; "postgresql"; "-i";
+    String.lowercase_ascii (Minidb.Isolation.level_to_string c.level);
+    "--txns"; int c.txns; "--clients"; int c.clients; "--seed"; int cell.seed;
+  ]
+  @ (if c.max_retries = 0 then [] else [ "--max-retries"; int c.max_retries ])
+  @
+  match c.plane with
+  | Baseline | Selftest_crash _ | Selftest_hang -> []
+  | Chaos { crash; drop; dup; delay } ->
+    [
+      "--chaos-crash"; num crash; "--chaos-drop"; num drop; "--chaos-dup";
+      num dup; "--chaos-delay"; num delay; "--chaos-seed"; env;
+    ]
+  | Recovery { crash_at; torn; lost_fsync; dup_replay } ->
+    each "--crash-at" int crash_at
+    @ [
+        "--wal-fault-torn"; num torn; "--wal-fault-lost-fsync"; num lost_fsync;
+        "--wal-fault-dup"; num dup_replay; "--wal-fault-seed"; env;
+      ]
+  | Net { drop; dup; reset; delay } ->
+    [
+      "--net"; "--net-fault-drop"; num drop; "--net-fault-dup"; num dup;
+      "--net-fault-reset"; num reset; "--net-fault-delay"; num delay;
+      "--net-fault-seed"; env;
+    ]
+  | Repl { followers; sync; drop; dup; hop_ns; failover_at } ->
+    [
+      "--repl"; int followers; "--repl-ack"; (if sync then "sync" else "async");
+      "--repl-drop"; num drop; "--repl-dup"; num dup; "--repl-hop-ns";
+      int hop_ns; "--repl-seed"; env;
+    ]
+    @ each "--repl-failover-at" int failover_at
+  | Shard { shards; drop; hop_ns; coord_crash_at } ->
+    [
+      "--shards"; int shards; "--shard-drop"; num drop; "--shard-hop-ns";
+      int hop_ns; "--shard-seed"; env;
+    ]
+    @ each "--shard-coord-crash-at" int coord_crash_at
+  | Stacked { shards; per_shard; hop_ns; failover_at } ->
+    [
+      "--shards"; int shards; "--repl-per-shard"; int per_shard;
+      "--shard-hop-ns"; int hop_ns; "--shard-seed"; env;
+    ]
+    @ each "--shard-failover-at"
+        (fun (at, shard) -> Printf.sprintf "%d:%d" shard at)
+        failover_at
+  | Engine_fault faults -> each "--fault" Minidb.Fault.to_string faults
 
 let cli_line cell =
-  let c = cell.clazz in
-  let env = sub_seed cell 1 in
-  let base = common cell ^ retries c in
-  match c.plane with
-  | Baseline -> base
-  | Chaos { crash; drop; dup; delay } ->
-    Printf.sprintf
-      "%s --chaos-crash %g --chaos-drop %g --chaos-dup %g --chaos-delay %g \
-       --chaos-seed %d"
-      base crash drop dup delay env
-  | Recovery { crash_at; torn; lost_fsync; dup_replay } ->
-    Printf.sprintf
-      "%s%s --wal-fault-torn %g --wal-fault-lost-fsync %g --wal-fault-dup %g \
-       --wal-fault-seed %d"
-      base
-      (repeat "--crash-at" crash_at)
-      torn lost_fsync dup_replay env
-  | Net { drop; dup; reset; delay } ->
-    Printf.sprintf
-      "%s --net --net-fault-drop %g --net-fault-dup %g --net-fault-reset %g \
-       --net-fault-delay %g --net-fault-seed %d"
-      base drop dup reset delay env
-  | Repl { followers; sync; drop; dup; hop_ns; failover_at } ->
-    Printf.sprintf
-      "%s --repl %d --repl-ack %s --repl-drop %g --repl-dup %g \
-       --repl-hop-ns %d --repl-seed %d%s"
-      base followers
-      (if sync then "sync" else "async")
-      drop dup hop_ns env
-      (repeat "--repl-failover-at" failover_at)
-  | Shard { shards; drop; hop_ns; coord_crash_at } ->
-    Printf.sprintf
-      "%s --shards %d --shard-drop %g --shard-hop-ns %d --shard-seed %d%s"
-      base shards drop hop_ns env
-      (repeat "--shard-coord-crash-at" coord_crash_at)
-  | Stacked { shards; per_shard; hop_ns; failover_at } ->
-    Printf.sprintf
-      "%s --shards %d --repl-per-shard %d --shard-hop-ns %d --shard-seed %d%s"
-      base shards per_shard hop_ns env
-      (String.concat ""
-         (List.map
-            (fun (at, shard) ->
-              Printf.sprintf " --shard-failover-at %d:%d" shard at)
-            failover_at))
-  | Engine_fault faults ->
-    base
-    ^ String.concat ""
-        (List.map
-           (fun f -> " --fault " ^ Minidb.Fault.to_string f)
-           faults)
+  match cell.clazz.plane with
   | Selftest_crash _ | Selftest_hang ->
     Printf.sprintf
       "# self-test cell %d (campaign machinery only; no standalone CLI \
        equivalent)"
       cell.index
+  | Baseline | Chaos _ | Recovery _ | Net _ | Repl _ | Shard _ | Stacked _
+  | Engine_fault _ ->
+    String.concat " " ("leopard" :: args cell)

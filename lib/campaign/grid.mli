@@ -7,8 +7,8 @@
     campaign seed with {!Leopard_util.Rng.derive}, so any cell can be
     reproduced standalone from [(campaign_seed, index)] alone — the
     checker report header and the results DB cite both, and {!cli_line}
-    renders the exact [leopard] invocation that replays the cell outside
-    the campaign machinery.
+    renders the [leopard] invocation that defines the cell and so
+    replays it outside the campaign machinery.
 
     Everything here is pure data: no RNG state, no clock, no I/O.  The
     same grid value expands to the same cell array on every call, which
@@ -90,18 +90,14 @@ val make : ?campaign_seed:int -> ?seeds_per_class:int -> clazz list -> t
 
 type cell = { index : int; seed : int; clazz : clazz }
 (** [seed = Rng.derive ~seed:campaign_seed ~index] — the only seed the
-    cell's run draws from (fault-plane streams use {!sub_seed}). *)
+    cell's run draws from: its fault-plane streams are seeded with a
+    value derived from it (see {!args}). *)
 
 val cells : t -> cell array
 (** Class-major expansion: cell [index = class_position * seeds_per_class
     + seed_position].  Pure; identical on every call. *)
 
 val cell_count : t -> int
-
-val sub_seed : cell -> int -> int
-(** [sub_seed cell salt] — the derived seed for one of the cell's
-    fault-plane streams (chaos, wire link, WAL damage, ...).  Salts are
-    fixed per plane so {!cli_line} and the runner agree byte-for-byte. *)
 
 val scale : txns:int -> clients:int -> clazz -> clazz
 (** Override the workload size of a class (used by the shrinker and by
@@ -125,8 +121,16 @@ val fingerprint : t -> string
     hex digits.  Checkpoints store it so a resume against a different
     grid is detected instead of mixing results. *)
 
+val args : cell -> string list
+(** The cell's definition as [leopard] arguments (without the program
+    name): workload, isolation, size, the cell's derived seed and every
+    fault-plane flag, with [Rng.derive ~seed ~index:1] as the plane's
+    stream seed.  The runner builds the cell's run from exactly these
+    through {!Leopard_harness.Flags}; a self-test cell gets its base
+    arguments, which the runner then sabotages.  Rates print as the
+    shortest decimal that parses back to the same float. *)
+
 val cli_line : cell -> string
-(** The exact standalone [leopard] invocation reproducing this cell:
-    workload, isolation, size, the cell's derived seed and every
-    fault-plane flag with its derived stream seed.  Self-test cells have
-    no standalone equivalent and render as a comment. *)
+(** ["leopard "] followed by {!args}: the standalone invocation that
+    replays this cell, because it is the cell's definition.  Self-test
+    cells have no standalone equivalent and render as a comment. *)

@@ -105,13 +105,15 @@ let run ?(opts = default_opts) (grid : Grid.t) =
       (Printf.sprintf
          "campaign %s: %d cell(s) (%d checkpointed, %d to run), %d job(s)"
          fingerprint n resumed (Array.length todo) jobs);
+  (* lines are parsed here, on the main domain; workers only execute *)
   let executed =
-    Pool.map ~jobs todo (fun cell ->
-        let r = Runner.run ?step_budget:opts.step_budget cell in
+    Pool.map ~jobs (Array.map Runner.prepare todo) (fun cell ->
+        let r = Runner.execute ?step_budget:opts.step_budget cell in
         (match ckpt with
         | Some (oc, mu) ->
           Mutex.protect mu (fun () ->
-              Checkpoint.append oc ~index:cell.Grid.index r.Runner.outcome)
+              Checkpoint.append oc ~index:r.Runner.cell.Grid.index
+                r.Runner.outcome)
         | None -> ());
         r)
   in

@@ -31,11 +31,9 @@ let esc s =
 
 let fl f =
   (* %.17g is lossless for doubles and deterministic; trailing-digit
-     noise does not matter, byte-stability does. *)
-  let s = Printf.sprintf "%.17g" f in
-  if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
-  then s
-  else s ^ "."
+     noise does not matter, byte-stability does.  JSON has no NaN or
+     infinity. *)
+  if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 
 let unexpected results =
   Array.to_list results

@@ -17,12 +17,16 @@
      progress is cut deterministically — the same step on every replay,
      unlike any wall-clock watchdog.
 
-   Everything a cell draws flows from its derived seed (workload stream)
-   and Grid.sub_seed (fault-plane streams); the runner itself reads no
-   clock and no global RNG, so a cell's outcome is a pure function of
-   the cell value. *)
+   A cell runs what its reproducer line says: the runner parses
+   Grid.args through Leopard_harness.Flags, the CLI's own mapping from
+   flags to config, and overrides only the workload spec (step budget,
+   planted crash) and, for the hang cell, the stop condition.  Every
+   stream a cell draws flows from its derived seed; the runner itself
+   reads no clock and no global RNG, so a cell's outcome is a pure
+   function of the cell value. *)
 
 module Run = Leopard_harness.Run
+module Flags = Leopard_harness.Flags
 
 type degradation = {
   restarts : int;
@@ -92,103 +96,6 @@ let with_planted_crash ~after (spec : Leopard_workload.Spec.t) =
         spec.Leopard_workload.Spec.next_txn rng);
   }
 
-let verifier_profile (clazz : Grid.clazz) =
-  let name =
-    Printf.sprintf "postgresql/%s"
-      (Minidb.Isolation.level_to_string clazz.Grid.level)
-  in
-  match Leopard.Il_profile.find name with
-  | Some il -> il
-  | None -> invalid_arg ("Runner: no verifier profile " ^ name)
-
-(* Build the Run.config for a cell.  Every constructor call here mirrors
-   what bin/leopard_cli.ml builds for the flags Grid.cli_line renders —
-   the pair must stay in lockstep or "reproduce with this line" lies. *)
-let config_of_cell ~budget (cell : Grid.cell) =
-  let c = cell.Grid.clazz in
-  let spec =
-    match Leopard_workload.Catalog.find c.Grid.workload with
-    | Some s -> s
-    | None -> invalid_arg ("Runner: unknown workload " ^ c.Grid.workload)
-  in
-  let spec =
-    match c.Grid.plane with
-    | Grid.Selftest_crash after -> with_planted_crash ~after spec
-    | _ -> spec
-  in
-  let spec = with_budget ~budget spec in
-  let env = Grid.sub_seed cell 1 in
-  let stop =
-    match c.Grid.plane with
-    (* The hang cell must be stoppable only by the budget. *)
-    | Grid.Selftest_hang -> Run.Txn_count max_int
-    | _ -> Run.Txn_count c.Grid.txns
-  in
-  let profile = Minidb.Profile.postgresql in
-  let level = c.Grid.level in
-  let base ?faults ?chaos ?net ?wal ?crash_at ?wal_faults ?repl ?shard () =
-    Run.config ?faults ?chaos ?net ?wal ?crash_at ?wal_faults ?repl ?shard
-      ~clients:c.Grid.clients ~seed:cell.Grid.seed
-      ~max_retries:c.Grid.max_retries ~spec ~profile ~level ~stop ()
-  in
-  match c.Grid.plane with
-  | Grid.Baseline | Grid.Selftest_hang -> base ()
-  | Grid.Selftest_crash _ -> base ()
-  | Grid.Chaos { crash; drop; dup; delay } ->
-    base
-      ~chaos:
-        (Leopard_harness.Chaos.config ~seed:env ~crash_prob:crash
-           ~drop_prob:drop ~dup_prob:dup ~delay_prob:delay ())
-      ()
-  | Grid.Recovery { crash_at; torn; lost_fsync; dup_replay } ->
-    base ~wal:true ~crash_at
-      ~wal_faults:
-        (Minidb.Wal.fault_cfg ~seed:env ~torn_tail_prob:torn
-           ~lost_fsync_prob:lost_fsync ~dup_replay_prob:dup_replay ())
-      ()
-  | Grid.Net { drop; dup; reset; delay } ->
-    base
-      ~net:
-        (Run.net_config
-           ~fault:
-             (Leopard_net.Faulty_link.config ~seed:env ~drop_prob:drop
-                ~dup_prob:dup ~reset_prob:reset ~delay_prob:delay ())
-           ())
-      ()
-  | Grid.Repl { followers; sync; drop; dup; hop_ns; failover_at } ->
-    let cluster =
-      Leopard_replication.Cluster.config ~followers
-        ~ack_mode:
-          (if sync then Leopard_replication.Cluster.Sync
-           else Leopard_replication.Cluster.Async)
-        ~hop_ns
-        ~link:
-          (Leopard_net.Faulty_link.config ~seed:env ~drop_prob:drop
-             ~dup_prob:dup ())
-        ~seed:env ()
-    in
-    base ~repl:(Run.repl_config ~failover_at cluster) ()
-  | Grid.Shard { shards; drop; hop_ns; coord_crash_at } ->
-    let group =
-      Leopard_shard.Group.config ~shards ~hop_ns
-        ~link:(Leopard_net.Faulty_link.config ~seed:env ~drop_prob:drop ())
-        ()
-    in
-    base ~shard:(Run.shard_config ~coord_crash_at group) ()
-  | Grid.Stacked { shards; per_shard; hop_ns; failover_at } ->
-    let group = Leopard_shard.Group.config ~shards ~hop_ns () in
-    let stack =
-      Leopard_compose.Stack.config ~followers:per_shard
-        ~seed:(Grid.sub_seed cell 2) ()
-    in
-    base
-      ~shard:
-        (Run.shard_config ~stack
-           ~shard_failover_at:failover_at group)
-      ()
-  | Grid.Engine_fault faults ->
-    base ~faults:(Minidb.Fault.Set.of_list faults) ()
-
 let degradation_of (d : Leopard.Checker.degradation) =
   {
     restarts = d.Leopard.Checker.restarts;
@@ -228,7 +135,12 @@ let completed_of ~(report : Leopard.Checker.report) (outcome : Run.outcome) =
       sim_ns = outcome.Run.sim_duration_ns;
     }
 
-let run ?step_budget (cell : Grid.cell) =
+type prepared = Grid.cell * (Flags.t, string) Stdlib.result
+
+(* [Flags.parse] runs on the main domain only; pool workers [execute]. *)
+let prepare cell = (cell, Flags.parse (Grid.args cell))
+
+let execute ?step_budget ((cell, flags) : prepared) =
   let budget =
     match step_budget with
     | Some b -> b
@@ -237,9 +149,32 @@ let run ?step_budget (cell : Grid.cell) =
   Printexc.record_backtrace true;
   let outcome =
     try
-      let config = config_of_cell ~budget cell in
-      let il = verifier_profile cell.Grid.clazz in
-      let outcome = Run.execute config in
+      let config, il =
+        match flags with
+        | Error e -> invalid_arg ("Runner: " ^ e)
+        | Ok flags -> (
+          match Flags.config flags with
+          | Ok built -> built
+          | Error e ->
+            invalid_arg
+              ("Runner: " ^ Leopard_harness.Cli_validate.error_to_string e))
+      in
+      let plane = cell.Grid.clazz.Grid.plane in
+      let spec =
+        match plane with
+        | Grid.Selftest_crash after ->
+          with_planted_crash ~after config.Run.spec
+        | _ -> config.Run.spec
+      in
+      let stop =
+        match plane with
+        (* The hang cell must be stoppable only by the budget. *)
+        | Grid.Selftest_hang -> Run.Txn_count max_int
+        | _ -> config.Run.stop
+      in
+      let outcome =
+        Run.execute { config with Run.spec = with_budget ~budget spec; stop }
+      in
       let v = Leopard_harness.Session.of_outcome il outcome in
       completed_of ~report:v.Leopard_harness.Session.report outcome
     with
@@ -249,6 +184,8 @@ let run ?step_budget (cell : Grid.cell) =
       Crashed { exn_text = Printexc.to_string e; backtrace }
   in
   { cell; outcome }
+
+let run ?step_budget cell = execute ?step_budget (prepare cell)
 
 (* {2 Expectation} *)
 

@@ -7,11 +7,15 @@
     generations, a simulated-time notion, so the cut point is the same
     on every replay (no wall-clock watchdog).
 
-    A cell's outcome is a pure function of the cell value: the workload
-    stream draws from the cell's derived seed, every fault-plane stream
-    from {!Grid.sub_seed}, and the runner itself touches no clock and no
-    global RNG.  That purity is what lets the orchestrator run cells on
-    any domain in any order and still produce byte-identical results. *)
+    A cell runs what its reproducer line says: {!Grid.args} parsed by
+    {!Leopard_harness.Flags}, the CLI's own mapping, with only the
+    workload spec (step budget, planted crash) and the hang cell's stop
+    condition overridden.  Its outcome is a pure function of the cell
+    value: every stream derives from the cell's seed, and the runner
+    itself touches no clock and no global RNG.  That purity is what
+    lets the orchestrator execute cells on any domain in any order and
+    still produce byte-identical results; only the parse is pinned to
+    the main domain (see {!prepare}). *)
 
 type degradation = {
   restarts : int;
@@ -48,9 +52,22 @@ val default_budget : txns:int -> int
 (** [(64 * txns) + 4096] program generations — generous for any honest
     cell, deterministic for a wedged one. *)
 
+type prepared
+(** A cell with its reproducer line parsed. *)
+
+val prepare : Grid.cell -> prepared
+(** Parse the cell's line with {!Leopard_harness.Flags.parse}; call it
+    on the main domain, as that function requires, and hand the result
+    to pool workers.  A parse error is kept and recorded as [Crashed]
+    by {!execute}. *)
+
+val execute : ?step_budget:int -> prepared -> result
+(** Execute and verify one prepared cell through one offline
+    {!Leopard_harness.Session.of_outcome}, whatever its plane.  Safe on
+    any domain. *)
+
 val run : ?step_budget:int -> Grid.cell -> result
-(** Execute and verify one cell through one offline
-    {!Leopard_harness.Session.of_outcome}, whatever its plane. *)
+(** [execute (prepare cell)], on the main domain. *)
 
 type kind = K_verified | K_violation | K_inconclusive | K_crashed | K_timeout
 

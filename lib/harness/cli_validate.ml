@@ -147,12 +147,12 @@ let composition p =
       }
   else None
 
-(* {2 Campaign grid grammar}
+(* {2 Names}
 
-   The campaign subcommand expands NAME x SEED x WORKLOAD axes into
-   cells; every axis value is validated here, on the raw strings, before
-   any grid is built — an unknown cell-class name must be a one-line
-   usage error naming the known classes, not a silent empty grid. *)
+   Cell classes, engine and plane fault names and ack modes are checked
+   on the raw strings before anything is built — an unknown name must be
+   a one-line usage error naming the known ones, not a silent empty
+   grid or an ignored fault. *)
 
 let choice ~flag ~known v =
   if List.exists (String.equal v) known then None

@@ -81,8 +81,8 @@ val recording : record:bool -> chaos_rates:float list -> error option
     so the file would re-check as a different history. *)
 
 val choice : flag:string -> known:string list -> string -> error option
-(** Campaign-grid axis values ([--cell], [--cell-workload]) must name a
-    known class/workload; the error lists the known names. *)
+(** A name-valued flag ([--cell], [--fault], [--repl-ack], the plane
+    fault names) must be one of [known]; the error lists them. *)
 
 val jobs : flag:string -> int -> error option
 (** A [--jobs] count is non-negative; [0] means "pick the recommended

@@ -59,3 +59,28 @@ let run_and_check ?clients ?txns ?seed ?faults ~spec ~profile ~level
   (outcome, report)
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* {2 Driving the built CLI} *)
+
+let cli = Filename.concat ".." (Filename.concat "bin" "leopard_cli.exe")
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Exit code and combined stdout/stderr of one CLI invocation. *)
+let run_cli args =
+  let out = Filename.temp_file "leopard_cli" ".out" in
+  let code =
+    Sys.command (Filename.quote_command cli ~stdout:out ~stderr:out args)
+  in
+  let text = read_file out in
+  Sys.remove out;
+  (code, text)
+
+let contains text sub =
+  let n = String.length text and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
+  go 0

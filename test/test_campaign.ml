@@ -11,6 +11,8 @@
      cell.
    - Shrunk reproducers replay byte-for-byte, across 50 seeds of
      forced-unexpected cells.
+   - Pool workers never evaluate cmdliner: every line is parsed on the
+     main domain.
 
    Cell sizes here are tiny (tens of transactions) and the workloads
    small-footprint (smallbank, blindw-rw): the properties are
@@ -105,6 +107,51 @@ let test_thousand_cell_identity () =
   Alcotest.(check string)
     "results DB byte-identical" (json_of serial) (json_of parallel)
 
+(* --- the results DB is valid JSON ----------------------------------- *)
+
+(* The number tokens of a JSON document, string literals skipped. *)
+let json_numbers doc =
+  let n = String.length doc in
+  let in_number c = String.contains "0123456789+-.eE" c in
+  let rec go i in_string acc =
+    if i >= n then List.rev acc
+    else
+      match doc.[i] with
+      | '\\' when in_string -> go (i + 2) true acc
+      | '"' -> go (i + 1) (not in_string) acc
+      | c when (not in_string) && String.contains "-0123456789" c ->
+        let j = ref i in
+        while !j < n && in_number doc.[!j] do
+          incr j
+        done;
+        go !j false (String.sub doc i (!j - i) :: acc)
+      | _ -> go (i + 1) in_string acc
+  in
+  go 0 false []
+
+let test_results_json_numbers () =
+  let o =
+    sweep ~jobs:2 (G.make ~campaign_seed:21 ~seeds_per_class:2 six_planes)
+  in
+  (* integral latencies are what used to print as "102002." *)
+  Alcotest.(check bool) "some latency is integral" true
+    (Array.exists
+       (fun (r : Runner.result) ->
+         match r.Runner.outcome with
+         | Runner.Completed c -> Float.is_integer c.Runner.p50_ns
+         | Runner.Crashed _ | Runner.Timeout _ -> false)
+       o.O.results);
+  let numbers = json_numbers (json_of o) in
+  Alcotest.(check bool) "numbers found" true (List.length numbers > 100);
+  List.iter
+    (fun tok ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is a JSON number" tok)
+        true
+        (tok.[String.length tok - 1] <> '.'
+        && Option.is_some (float_of_string_opt tok)))
+    numbers
+
 (* --- crash isolation and step budgets ------------------------------ *)
 
 let test_crash_and_timeout_recorded () =
@@ -169,6 +216,27 @@ let test_checkpoint_resume () =
     "resumed results DB byte-identical to uninterrupted run" reference
     (json_of rest);
   Sys.remove path
+
+(* --- workers never evaluate cmdliner -------------------------------- *)
+
+(* A line parsed on a pool worker would leave cmdliner's text in the
+   main domain's [Format.str_formatter] (or, now, crash the cell). *)
+let test_parallel_sweep_parses_on_main () =
+  ignore (Format.flush_str_formatter ());
+  let grid =
+    G.make ~campaign_seed:5 ~seeds_per_class:8
+      [ clazz "honest" "blindw-rw" ~txns:400 G.Baseline ]
+  in
+  let o = sweep ~jobs:4 grid in
+  Alcotest.(check bool) "every cell completed" true
+    (Array.for_all
+       (fun (r : Runner.result) ->
+         match r.Runner.outcome with
+         | Runner.Completed _ -> true
+         | Runner.Crashed _ | Runner.Timeout _ -> false)
+       o.O.results);
+  Alcotest.(check string) "main domain's str_formatter left empty" ""
+    (Format.flush_str_formatter ())
 
 (* --- checkpoint: damage degrades, never crashes -------------------- *)
 
@@ -313,12 +381,16 @@ let suite =
   [
     Alcotest.test_case "derived seeds are positional citations" `Quick
       test_derived_seeds;
+    Alcotest.test_case "results DB numbers are valid JSON" `Quick
+      test_results_json_numbers;
     Alcotest.test_case "crash and timeout cells recorded, sweep survives"
       `Quick test_crash_and_timeout_recorded;
     Alcotest.test_case "checkpoint resume runs only incomplete cells" `Quick
       test_checkpoint_resume;
     Alcotest.test_case "damaged checkpoint degrades, never crashes" `Quick
       test_checkpoint_damage;
+    Alcotest.test_case "parallel sweep parses lines on the main domain"
+      `Quick test_parallel_sweep_parses_on_main;
     Alcotest.test_case "orchestrator shrinks unexpected cells" `Quick
       test_orchestrator_shrinks_unexpected;
     Alcotest.test_case "shrunk reproducers replay byte-for-byte (50 seeds)"

@@ -18,28 +18,9 @@ module H = Leopard_harness
 module Il = Leopard.Il_profile
 module Link = Leopard_net.Faulty_link
 
-let cli = Filename.concat ".." (Filename.concat "bin" "leopard_cli.exe")
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Exit code and combined stdout/stderr of one CLI invocation. *)
-let run_cli args =
-  let out = Filename.temp_file "leopard_cli" ".out" in
-  let code =
-    Sys.command (Filename.quote_command cli ~stdout:out ~stderr:out args)
-  in
-  let text = read_file out in
-  Sys.remove out;
-  (code, text)
-
-let contains text sub =
-  let n = String.length text and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
-  go 0
+let read_file = Helpers.read_file
+let run_cli = Helpers.run_cli
+let contains = Helpers.contains
 
 (* The number after [prefix] in [text], if any. *)
 let count_after text prefix =
