@@ -580,34 +580,17 @@ let campaign_run cells_sel list_cells seeds campaign_seed cell_txns
   Printf.printf "sweep    : %d run, %d resumed from checkpoint, jobs %s\n"
     o.Campaign.Orchestrator.fresh o.Campaign.Orchestrator.resumed
     (if jobs_v = 0 then "auto" else string_of_int jobs_v);
-  let by_class (clazz : Campaign.Grid.clazz) =
-    Array.to_list o.Campaign.Orchestrator.results
-    |> List.filter (fun (r : Campaign.Runner.result) ->
-           String.equal r.Campaign.Runner.cell.Campaign.Grid.clazz.Campaign.Grid.cname
-             clazz.Campaign.Grid.cname)
-  in
   List.iter
-    (fun (clazz : Campaign.Grid.clazz) ->
-      let rs = by_class clazz in
-      let count k =
-        List.length
-          (List.filter
-             (fun (r : Campaign.Runner.result) ->
-               String.equal
-                 (Campaign.Runner.kind_to_string
-                    (Campaign.Runner.kind_of r.Campaign.Runner.outcome))
-                 k)
-             rs)
-      in
-      let ok =
-        List.length (List.filter Campaign.Runner.is_expected rs)
-      in
+    (fun (s : Campaign.Results.summary) ->
+      let v = s.Campaign.Results.verdicts in
       Printf.printf
         "cell     : %-24s %d/%d expected | V %d B %d I %d X %d T %d\n"
-        clazz.Campaign.Grid.cname ok (List.length rs) (count "verified")
-        (count "violation") (count "inconclusive") (count "crashed")
-        (count "timeout"))
-    classes;
+        s.Campaign.Results.clazz.Campaign.Grid.cname
+        (s.Campaign.Results.cells - s.Campaign.Results.unexpected)
+        s.Campaign.Results.cells v.Campaign.Results.verified
+        v.Campaign.Results.violation v.Campaign.Results.inconclusive
+        v.Campaign.Results.crashed v.Campaign.Results.timeout)
+    (Campaign.Results.summarize ~grid o.Campaign.Orchestrator.results);
   (match o.Campaign.Orchestrator.json with
   | Some json -> (
     match out with

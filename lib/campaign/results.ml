@@ -39,52 +39,57 @@ let unexpected results =
   Array.to_list results
   |> List.filter (fun r -> not (Runner.is_expected r))
 
-type counts = {
-  mutable verified : int;
-  mutable violation : int;
-  mutable inconclusive : int;
-  mutable crashed : int;
-  mutable timeout : int;
-  mutable bad : int;  (** unexpected under the class's expectation *)
+type verdicts = {
+  verified : int;
+  violation : int;
+  inconclusive : int;
+  crashed : int;
+  timeout : int;
 }
 
-let count_of results =
-  let c =
-    {
-      verified = 0;
-      violation = 0;
-      inconclusive = 0;
-      crashed = 0;
-      timeout = 0;
-      bad = 0;
-    }
-  in
-  List.iter
-    (fun (r : Runner.result) ->
-      (match Runner.kind_of r.Runner.outcome with
-      | Runner.K_verified -> c.verified <- c.verified + 1
-      | Runner.K_violation -> c.violation <- c.violation + 1
-      | Runner.K_inconclusive -> c.inconclusive <- c.inconclusive + 1
-      | Runner.K_crashed -> c.crashed <- c.crashed + 1
-      | Runner.K_timeout -> c.timeout <- c.timeout + 1);
-      if not (Runner.is_expected r) then c.bad <- c.bad + 1)
-    results;
-  c
+let verdicts_of results =
+  List.fold_left
+    (fun v (r : Runner.result) ->
+      match Runner.kind_of r.Runner.outcome with
+      | Runner.K_verified -> { v with verified = v.verified + 1 }
+      | Runner.K_violation -> { v with violation = v.violation + 1 }
+      | Runner.K_inconclusive -> { v with inconclusive = v.inconclusive + 1 }
+      | Runner.K_crashed -> { v with crashed = v.crashed + 1 }
+      | Runner.K_timeout -> { v with timeout = v.timeout + 1 })
+    { verified = 0; violation = 0; inconclusive = 0; crashed = 0; timeout = 0 }
+    results
 
-let counts_json c =
+let verdicts_json v =
   Printf.sprintf
     "{\"verified\":%d,\"violation\":%d,\"inconclusive\":%d,\"crashed\":%d,\
      \"timeout\":%d}"
-    c.verified c.violation c.inconclusive c.crashed c.timeout
+    v.verified v.violation v.inconclusive v.crashed v.timeout
 
-(* sum/max distribution of one degradation counter over a class *)
-let dist name get completed =
-  let sum = List.fold_left (fun a c -> a + get c) 0 completed in
-  let mx = List.fold_left (fun a c -> max a (get c)) 0 completed in
-  Printf.sprintf "\"%s\":{\"sum\":%d,\"max\":%d}" name sum mx
+type summary = {
+  clazz : Grid.clazz;
+  cells : int;
+  unexpected : int;
+  verdicts : verdicts;
+  bugs : int;
+  commits : int;
+  aborts : int;
+  degradation : (string * int * int) list;
+  latency : (float * float) option;
+}
 
-let class_json (clazz : Grid.clazz) (results : Runner.result list) =
-  let c = count_of results in
+let counters =
+  [
+    ("restarts", fun (d : Runner.degradation) -> d.Runner.restarts);
+    ("recovery_lost_records", fun d -> d.Runner.recovery_lost);
+    ("ambiguous_commits", fun d -> d.Runner.ambiguous);
+    ("lost_suffix_commits", fun d -> d.Runner.lost_suffix);
+    ("failovers", fun d -> d.Runner.failovers);
+    ("coord_ambiguous_commits", fun d -> d.Runner.coord_ambiguous);
+    ("crashed_clients", fun d -> d.Runner.crashed_clients);
+    ("indeterminate_txns", fun d -> d.Runner.indeterminate);
+  ]
+
+let summarize_class clazz (results : Runner.result list) =
   let completed =
     List.filter_map
       (fun (r : Runner.result) ->
@@ -93,47 +98,64 @@ let class_json (clazz : Grid.clazz) (results : Runner.result list) =
         | Runner.Crashed _ | Runner.Timeout _ -> None)
       results
   in
-  let degs = List.map (fun (x : Runner.completed) -> x.Runner.deg) completed in
-  let lat =
-    match completed with
-    | [] -> "null"
-    | _ ->
-      let p50s = List.map (fun (x : Runner.completed) -> x.Runner.p50_ns) completed in
-      let p99s = List.map (fun (x : Runner.completed) -> x.Runner.p99_ns) completed in
-      Printf.sprintf "{\"p50_ns\":%s,\"p99_ns\":%s}"
-        (fl (Leopard_util.Stats.percentile p50s 50.0))
-        (fl (List.fold_left Float.max 0.0 p99s))
+  let fold f init get =
+    List.fold_left (fun a (c : Runner.completed) -> f a (get c)) init completed
   in
+  let sum = fold ( + ) 0 in
+  {
+    clazz;
+    cells = List.length results;
+    unexpected =
+      List.length (List.filter (fun r -> not (Runner.is_expected r)) results);
+    verdicts = verdicts_of results;
+    bugs = sum (fun c -> c.Runner.bugs);
+    commits = sum (fun c -> c.Runner.commits);
+    aborts = sum (fun c -> c.Runner.aborts);
+    degradation =
+      List.map
+        (fun (name, get) ->
+          ( name,
+            sum (fun c -> get c.Runner.deg),
+            fold max 0 (fun c -> get c.Runner.deg) ))
+        counters;
+    latency =
+      (match completed with
+      | [] -> None
+      | _ ->
+        let p50s =
+          List.map (fun (c : Runner.completed) -> c.Runner.p50_ns) completed
+        in
+        Some
+          ( Leopard_util.Stats.percentile p50s 50.0,
+            fold Float.max 0.0 (fun c -> c.Runner.p99_ns) ));
+  }
+
+let summarize ~(grid : Grid.t) (results : Runner.result array) =
+  List.map
+    (fun (clazz : Grid.clazz) ->
+      summarize_class clazz
+        (List.filter
+           (fun (r : Runner.result) ->
+             String.equal r.Runner.cell.Grid.clazz.Grid.cname clazz.Grid.cname)
+           (Array.to_list results)))
+    grid.Grid.classes
+
+let class_json s =
   Printf.sprintf
     "{\"name\":\"%s\",\"workload\":\"%s\",\"expect\":\"%s\",\"cells\":%d,\
      \"unexpected\":%d,\"verdicts\":%s,\"degradation\":{%s},\"latency\":%s}"
-    (esc clazz.Grid.cname) (esc clazz.Grid.workload)
-    (Grid.expect_to_string clazz.Grid.expect)
-    (List.length results) c.bad (counts_json c)
+    (esc s.clazz.Grid.cname) (esc s.clazz.Grid.workload)
+    (Grid.expect_to_string s.clazz.Grid.expect)
+    s.cells s.unexpected (verdicts_json s.verdicts)
     (String.concat ","
-       [
-         dist "restarts" (fun (d : Runner.degradation) -> d.Runner.restarts) degs;
-         dist "recovery_lost_records"
-           (fun (d : Runner.degradation) -> d.Runner.recovery_lost)
-           degs;
-         dist "ambiguous_commits"
-           (fun (d : Runner.degradation) -> d.Runner.ambiguous)
-           degs;
-         dist "lost_suffix_commits"
-           (fun (d : Runner.degradation) -> d.Runner.lost_suffix)
-           degs;
-         dist "failovers" (fun (d : Runner.degradation) -> d.Runner.failovers) degs;
-         dist "coord_ambiguous_commits"
-           (fun (d : Runner.degradation) -> d.Runner.coord_ambiguous)
-           degs;
-         dist "crashed_clients"
-           (fun (d : Runner.degradation) -> d.Runner.crashed_clients)
-           degs;
-         dist "indeterminate_txns"
-           (fun (d : Runner.degradation) -> d.Runner.indeterminate)
-           degs;
-       ])
-    lat
+       (List.map
+          (fun (name, sum, mx) ->
+            Printf.sprintf "\"%s\":{\"sum\":%d,\"max\":%d}" name sum mx)
+          s.degradation))
+    (match s.latency with
+    | None -> "null"
+    | Some (p50, p99) ->
+      Printf.sprintf "{\"p50_ns\":%s,\"p99_ns\":%s}" (fl p50) (fl p99))
 
 let result_json (r : Runner.result) =
   let cell = r.Runner.cell in
@@ -164,30 +186,27 @@ let result_json (r : Runner.result) =
     (esc (Grid.cli_line cell))
 
 let to_json ~(grid : Grid.t) (results : Runner.result array) =
-  let by_class clazz =
-    Array.to_list results
-    |> List.filter (fun (r : Runner.result) ->
-           String.equal r.Runner.cell.Grid.clazz.Grid.cname clazz.Grid.cname)
-  in
+  let summaries = summarize ~grid results in
   let b = Buffer.create 4096 in
-  let all = count_of (Array.to_list results) in
   Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf
        "  \"campaign_seed\": %d,\n  \"fingerprint\": \"%s\",\n  \
         \"seeds_per_class\": %d,\n  \"cells\": %d,\n  \"unexpected\": %d,\n"
        grid.Grid.campaign_seed (Grid.fingerprint grid)
-       grid.Grid.seeds_per_class (Array.length results) all.bad);
+       grid.Grid.seeds_per_class (Array.length results)
+       (List.length (unexpected results)));
   Buffer.add_string b
-    (Printf.sprintf "  \"verdicts\": %s,\n" (counts_json all));
+    (Printf.sprintf "  \"verdicts\": %s,\n"
+       (verdicts_json (verdicts_of (Array.to_list results))));
   Buffer.add_string b "  \"classes\": [\n";
   List.iteri
-    (fun i clazz ->
+    (fun i s ->
       Buffer.add_string b "    ";
-      Buffer.add_string b (class_json clazz (by_class clazz));
-      if i < List.length grid.Grid.classes - 1 then Buffer.add_string b ",";
+      Buffer.add_string b (class_json s);
+      if i < List.length summaries - 1 then Buffer.add_string b ",";
       Buffer.add_string b "\n")
-    grid.Grid.classes;
+    summaries;
   Buffer.add_string b "  ],\n  \"results\": [\n";
   Array.iteri
     (fun i r ->

@@ -19,11 +19,11 @@
 
    A cell runs what its reproducer line says: the runner parses
    Grid.args through Leopard_harness.Flags, the CLI's own mapping from
-   flags to config, and overrides only the workload spec (step budget,
-   planted crash) and, for the hang cell, the stop condition.  Every
-   stream a cell draws flows from its derived seed; the runner itself
-   reads no clock and no global RNG, so a cell's outcome is a pure
-   function of the cell value. *)
+   flags to config, and overrides only the workload spec (step budget;
+   a planted crash when the class expects [crash]) and, when it expects
+   [stall], the stop condition.  Every stream a cell draws flows from
+   its derived seed; the runner itself reads no clock and no global
+   RNG, so a cell's outcome is a pure function of the cell value. *)
 
 module Run = Leopard_harness.Run
 module Flags = Leopard_harness.Flags
@@ -85,14 +85,15 @@ let with_budget ~budget (spec : Leopard_workload.Spec.t) =
         spec.Leopard_workload.Spec.next_txn rng);
   }
 
-let with_planted_crash ~after (spec : Leopard_workload.Spec.t) =
+(* A [crash] cell raises from its fifth transaction-program generation. *)
+let with_planted_crash (spec : Leopard_workload.Spec.t) =
   let calls = ref 0 in
   {
     spec with
     Leopard_workload.Spec.next_txn =
       (fun rng ->
         incr calls;
-        if !calls = after then failwith "selftest: planted cell crash";
+        if !calls = 5 then failwith "selftest: planted cell crash";
         spec.Leopard_workload.Spec.next_txn rng);
   }
 
@@ -159,18 +160,13 @@ let execute ?step_budget ((cell, flags) : prepared) =
             invalid_arg
               ("Runner: " ^ Leopard_harness.Cli_validate.error_to_string e))
       in
-      let plane = cell.Grid.clazz.Grid.plane in
-      let spec =
-        match plane with
-        | Grid.Selftest_crash after ->
-          with_planted_crash ~after config.Run.spec
-        | _ -> config.Run.spec
-      in
-      let stop =
-        match plane with
+      let spec, stop =
+        match cell.Grid.clazz.Grid.expect with
+        | Grid.Crash -> (with_planted_crash config.Run.spec, config.Run.stop)
         (* The hang cell must be stoppable only by the budget. *)
-        | Grid.Selftest_hang -> Run.Txn_count max_int
-        | _ -> config.Run.stop
+        | Grid.Stall -> (config.Run.spec, Run.Txn_count max_int)
+        | Grid.Pass | Grid.Fail | Grid.Any ->
+          (config.Run.spec, config.Run.stop)
       in
       let outcome =
         Run.execute { config with Run.spec = with_budget ~budget spec; stop }

@@ -9,13 +9,13 @@
 
     A cell runs what its reproducer line says: {!Grid.args} parsed by
     {!Leopard_harness.Flags}, the CLI's own mapping, with only the
-    workload spec (step budget, planted crash) and the hang cell's stop
-    condition overridden.  Its outcome is a pure function of the cell
-    value: every stream derives from the cell's seed, and the runner
-    itself touches no clock and no global RNG.  That purity is what
-    lets the orchestrator execute cells on any domain in any order and
-    still produce byte-identical results; only the parse is pinned to
-    the main domain (see {!prepare}). *)
+    workload spec (step budget; a planted crash for a [crash] class) and
+    a [stall] class's stop condition overridden.  Its outcome is a pure
+    function of the cell value: every stream derives from the cell's
+    seed, and the runner itself touches no clock and no global RNG.
+    That purity is what lets the orchestrator execute cells on any
+    domain in any order and still produce byte-identical results; only
+    the parse is pinned to the main domain (see {!prepare}). *)
 
 type degradation = {
   restarts : int;

@@ -5,7 +5,8 @@
    cell is usually far bigger than the bug: hundreds of transactions,
    several schedules of injected faults.  The shrinker greedily descends
    on every axis that is monotone-shrinkable — transaction count,
-   client count, and each fault-schedule list — accepting a candidate
+   client count, and every repeated flag of the class's line (crash and
+   failover instants, planted faults) — accepting a candidate
    exactly when re-running it reproduces the same outcome *kind* as the
    original.  Kind-stability (not byte-equality) is the ddmin invariant:
    a smaller cell with the same verdict class is the same failure,
@@ -55,6 +56,25 @@ let same_signature a b =
 let kind_equal a b =
   String.equal (Runner.kind_to_string a) (Runner.kind_to_string b)
 
+(* A class's flags as groups: each word that starts with '-' opens one,
+   the words up to the next such word are its value (negative numbers
+   are written [--flag=-1]). *)
+let flag_groups flags =
+  List.fold_left
+    (fun groups word ->
+      match groups with
+      | g :: rest when not (String.starts_with ~prefix:"-" word) ->
+        (word :: g) :: rest
+      | _ -> [ word ] :: groups)
+    [] flags
+  |> List.rev_map List.rev
+
+let flag_name group =
+  let flag = List.hd group in
+  match String.index_opt flag '=' with
+  | Some i -> String.sub flag 0 i
+  | None -> flag
+
 let shrink ?(max_attempts = 48) ~run (r : Runner.result) =
   let target = Runner.kind_of r.Runner.outcome in
   let attempts = ref 0 in
@@ -98,73 +118,22 @@ let shrink ?(max_attempts = 48) ~run (r : Runner.result) =
   descend
     ~get:(fun c -> c.Grid.clients)
     ~set:(fun c clients -> { c with Grid.clients });
-  (* Remove fault-schedule entries one at a time; each successful
-     removal restarts against the shrunk list via [best]. *)
-  let shrink_list ~get ~set =
-    let rec go kept rest =
-      match rest with
-      | [] -> ()
-      | x :: rest ->
-        let candidate = List.rev_append kept rest in
-        let clazz = (!best).Grid.clazz in
-        if try_cell (with_clazz (set clazz candidate)) then go kept rest
-        else go (x :: kept) rest
-    in
-    go [] (get (!best).Grid.clazz)
+  (* Drop one occurrence of a repeated flag at a time (a crash instant, a
+     failover, a planted fault); the last occurrence of each flag stays,
+     so the shrunk line keeps every plane and every planted fault. *)
+  let rec drop_repeated kept = function
+    | [] -> ()
+    | g :: rest ->
+      let others = List.rev_append kept rest in
+      if
+        List.exists (fun h -> String.equal (flag_name h) (flag_name g)) others
+        && try_cell
+             (with_clazz
+                { (!best).Grid.clazz with Grid.flags = List.concat others })
+      then drop_repeated kept rest
+      else drop_repeated (g :: kept) rest
   in
-  let set_plane c plane = { c with Grid.plane } in
-  (match (!best).Grid.clazz.Grid.plane with
-  | Grid.Recovery p ->
-    shrink_list
-      ~get:(fun _ -> p.crash_at)
-      ~set:(fun c crash_at ->
-        match c.Grid.plane with
-        | Grid.Recovery p -> set_plane c (Grid.Recovery { p with crash_at })
-        | _ -> c)
-  | Grid.Repl p ->
-    shrink_list
-      ~get:(fun _ -> p.failover_at)
-      ~set:(fun c failover_at ->
-        match c.Grid.plane with
-        | Grid.Repl p -> set_plane c (Grid.Repl { p with failover_at })
-        | _ -> c)
-  | Grid.Shard p ->
-    shrink_list
-      ~get:(fun _ -> p.coord_crash_at)
-      ~set:(fun c coord_crash_at ->
-        match c.Grid.plane with
-        | Grid.Shard p -> set_plane c (Grid.Shard { p with coord_crash_at })
-        | Grid.Baseline | Grid.Chaos _ | Grid.Recovery _ | Grid.Net _
-        | Grid.Repl _ | Grid.Stacked _ | Grid.Engine_fault _
-        | Grid.Selftest_crash _ | Grid.Selftest_hang ->
-          c)
-  | Grid.Stacked p ->
-    shrink_list
-      ~get:(fun _ -> List.mapi (fun i _ -> i) p.failover_at)
-      ~set:(fun c kept ->
-        match c.Grid.plane with
-        | Grid.Stacked q ->
-          set_plane c
-            (Grid.Stacked
-               {
-                 q with
-                 failover_at =
-                   List.filteri (fun i _ -> List.mem i kept) q.failover_at;
-               })
-        | _ -> c)
-  | Grid.Engine_fault faults when List.length faults > 1 ->
-    shrink_list
-      ~get:(fun _ -> List.mapi (fun i _ -> i) faults)
-      ~set:(fun c kept ->
-        match c.Grid.plane with
-        | Grid.Engine_fault fs ->
-          set_plane c
-            (Grid.Engine_fault
-               (List.filteri (fun i _ -> List.mem i kept) fs))
-        | _ -> c)
-  | Grid.Baseline | Grid.Net _ | Grid.Chaos _ | Grid.Engine_fault _
-  | Grid.Selftest_crash _ | Grid.Selftest_hang ->
-    ());
+  drop_repeated [] (flag_groups (!best).Grid.clazz.Grid.flags);
   {
     original = r.Runner.cell;
     shrunk = !best;

@@ -2,9 +2,10 @@
 
     When a cell contradicts its class expectation, [shrink] re-runs
     progressively smaller variants — fewer transactions, fewer clients,
-    shorter fault schedules — keeping a candidate exactly when it
-    reproduces the same outcome kind, and returns the smallest failing
-    cell as a {e reproducer bundle}.  Because a cell's outcome is a pure
+    then one fewer occurrence of a repeated flag (never the last one) —
+    keeping a candidate exactly when it reproduces the same outcome
+    kind, and returns the smallest failing cell as a {e reproducer
+    bundle}.  Because a cell's outcome is a pure
     function of the cell value, the bundle's promise is strong:
     [replay] re-runs the shrunk cell and checks the verdict and the
     degradation line match byte-for-byte (exception text for crashes,

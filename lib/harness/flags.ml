@@ -18,8 +18,9 @@ let workload =
     value & opt string "blindw-rw"
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:
-          "Workload: ycsb, ycsb+t, tatp, blindw-w, blindw-rw, blindw-rw+, \
-           smallbank, tpcc.")
+          ("Workload: "
+          ^ String.concat ", " Leopard_workload.Catalog.names
+          ^ "."))
 
 let dbms =
   Arg.(

@@ -24,6 +24,12 @@ let write ?client ~txn ~bef ~aft items =
 let commit ?client ~txn ~bef ~aft () = trace ?client ~txn ~bef ~aft Trace.Commit
 let abort ?client ~txn ~bef ~aft () = trace ?client ~txn ~bef ~aft Trace.Abort
 
+(* A fresh spec of the named catalog workload, as [-w NAME] builds it. *)
+let workload name () =
+  match Leopard_workload.Catalog.find name with
+  | Some spec -> spec
+  | None -> failwith ("no catalog workload " ^ name)
+
 (* Drive a checker over traces (sorted) and return the report. *)
 let check profile traces =
   let checker = Leopard.Checker.create profile in

@@ -11,6 +11,8 @@
      cell.
    - Shrunk reproducers replay byte-for-byte, across 50 seeds of
      forced-unexpected cells.
+   - Repeated flags shrink to one occurrence, never to none: a shrunk
+     line keeps every planted fault, and replays through the CLI.
    - Pool workers never evaluate cmdliner: every line is parsed on the
      main domain.
 
@@ -28,30 +30,28 @@ module Rng = Leopard_util.Rng
 
 let si = Minidb.Isolation.Snapshot_isolation
 
-let clazz ?(txns = 25) ?(clients = 2) ?(max_retries = 0) ?(expect = G.Any)
-    cname workload plane =
-  { G.cname; workload; level = si; txns; clients; max_retries; plane; expect }
+let clazz ?(txns = 25) ?(clients = 2) ?(expect = G.Any) cname workload flags =
+  G.clazz cname ~workload ~txns ~clients ~expect flags
 
 (* One tiny class per fault plane — the six-plane matrix of the
    identity test. *)
 let six_planes =
   [
     clazz "chaos" "blindw-rw"
-      (G.Chaos { crash = 0.003; drop = 0.02; dup = 0.02; delay = 0.05 });
-    clazz "recovery" "smallbank" ~max_retries:2
-      (G.Recovery
-         { crash_at = [ 200_000 ]; torn = 0.1; lost_fsync = 0.3;
-           dup_replay = 0.2 });
+      "--chaos-crash 0.003 --chaos-drop 0.02 --chaos-dup 0.02 \
+       --chaos-delay 0.05";
+    clazz "recovery" "smallbank"
+      "--max-retries 2 --crash-at 200000 --wal-fault-torn 0.1 \
+       --wal-fault-lost-fsync 0.3 --wal-fault-dup 0.2";
     clazz "net" "blindw-rw"
-      (G.Net { drop = 0.05; dup = 0.05; reset = 0.05; delay = 0.05 });
+      "--net --net-fault-drop 0.05 --net-fault-dup 0.05 --net-fault-reset \
+       0.05 --net-fault-delay 0.05";
     clazz "repl" "smallbank"
-      (G.Repl
-         { followers = 1; sync = true; drop = 0.02; dup = 0.02;
-           hop_ns = 2_000; failover_at = [] });
-    clazz "shard" "blindw-rw"
-      (G.Shard { shards = 2; drop = 0.0; hop_ns = 1_000; coord_crash_at = [] });
+      "--repl 1 --repl-ack sync --repl-drop 0.02 --repl-dup 0.02 \
+       --repl-hop-ns 2000";
+    clazz "shard" "blindw-rw" "--shards 2 --shard-hop-ns 1000";
     clazz "stacked" "smallbank"
-      (G.Stacked { shards = 2; per_shard = 1; hop_ns = 1_000; failover_at = [] });
+      "--shards 2 --repl-per-shard 1 --shard-hop-ns 1000";
   ]
 
 let sweep ?(shrink = false) ?checkpoint ?limit ~jobs grid =
@@ -158,9 +158,9 @@ let test_crash_and_timeout_recorded () =
   let grid =
     G.make ~campaign_seed:3 ~seeds_per_class:3
       [
-        clazz "boom" "blindw-rw" ~txns:50 ~expect:G.Crash (G.Selftest_crash 5);
-        clazz "wedge" "blindw-rw" ~txns:50 ~expect:G.Stall G.Selftest_hang;
-        clazz "honest" "blindw-rw" ~txns:40 ~expect:G.Pass G.Baseline;
+        clazz "boom" "blindw-rw" ~txns:50 ~expect:G.Crash "";
+        clazz "wedge" "blindw-rw" ~txns:50 ~expect:G.Stall "";
+        clazz "honest" "blindw-rw" ~txns:40 ~expect:G.Pass "";
       ]
   in
   let o = sweep ~jobs:2 grid in
@@ -225,7 +225,7 @@ let test_parallel_sweep_parses_on_main () =
   ignore (Format.flush_str_formatter ());
   let grid =
     G.make ~campaign_seed:5 ~seeds_per_class:8
-      [ clazz "honest" "blindw-rw" ~txns:400 G.Baseline ]
+      [ clazz "honest" "blindw-rw" ~txns:400 "" ]
   in
   let o = sweep ~jobs:4 grid in
   Alcotest.(check bool) "every cell completed" true
@@ -310,7 +310,7 @@ let test_checkpoint_damage () =
 let test_shrinker_replays () =
   (* a forced-unexpected class: an honest baseline labeled Fail, so
      every seed verifies where a conviction was demanded *)
-  let forced = clazz "mislabeled" "blindw-rw" ~txns:40 ~expect:G.Fail G.Baseline in
+  let forced = clazz "mislabeled" "blindw-rw" ~txns:40 ~expect:G.Fail "" in
   for campaign_seed = 0 to 49 do
     let grid = G.make ~campaign_seed ~seeds_per_class:1 [ forced ] in
     let cell = (G.cells grid).(0) in
@@ -343,8 +343,8 @@ let test_orchestrator_shrinks_unexpected () =
   let grid =
     G.make ~campaign_seed:17 ~seeds_per_class:2
       [
-        clazz "honest" "blindw-rw" ~txns:40 ~expect:G.Pass G.Baseline;
-        clazz "mislabeled" "blindw-rw" ~txns:40 ~expect:G.Fail G.Baseline;
+        clazz "honest" "blindw-rw" ~txns:40 ~expect:G.Pass "";
+        clazz "mislabeled" "blindw-rw" ~txns:40 ~expect:G.Fail "";
       ]
   in
   let o =
@@ -377,6 +377,55 @@ let test_orchestrator_shrinks_unexpected () =
         (cites "reproduce : leopard "))
     o.O.repros
 
+(* --- shrinker: repeated flags shrink to one occurrence -------------- *)
+
+let count_flag flag (c : G.clazz) =
+  List.length (List.filter (String.equal flag) c.G.flags)
+
+(* Shrink an unexpected cell; its shrunk line must replay, in process
+   and through the built CLI, to the same verdict. *)
+let shrink_unexpected cell =
+  let r = Runner.run cell in
+  Alcotest.(check bool) "cell is unexpected" false (Runner.is_expected r);
+  let run c = (Runner.run c).Runner.outcome in
+  let bundle = Shrink.shrink ~run r in
+  Alcotest.(check bool) "shrunk cell replays" true (Shrink.replay ~run bundle);
+  let exit_code =
+    match bundle.Shrink.outcome with
+    | Runner.Completed { verdict = Leopard.Checker.Verified; _ } -> 0
+    | Runner.Completed { verdict = Leopard.Checker.Violation; _ } -> 1
+    | Runner.Completed { verdict = Leopard.Checker.Inconclusive _; _ } -> 3
+    | Runner.Crashed _ | Runner.Timeout _ -> Alcotest.fail "cell did not complete"
+  in
+  Alcotest.(check int) "shrunk line's CLI exit" exit_code
+    (fst (Helpers.run_cli (G.args bundle.Shrink.shrunk)));
+  bundle.Shrink.shrunk
+
+(* ROBUSTNESS §12's walkthrough: planted-stale-read is too small to trip
+   at 40 transactions and 4 clients; the shrunk line keeps its fault. *)
+let test_shrink_keeps_planted_fault () =
+  let clazz =
+    match G.find_preset "planted-stale-read" with
+    | Some c -> G.scale ~txns:40 ~clients:4 c
+    | None -> Alcotest.fail "planted-stale-read preset missing"
+  in
+  let shrunk = shrink_unexpected (G.cells (G.make [ clazz ])).(0) in
+  Alcotest.(check int) "one --fault left" 1 (count_flag "--fault" shrunk.G.clazz);
+  Alcotest.(check bool) "line carries --fault stale-read" true
+    (Helpers.contains (G.cli_line shrunk) "--fault stale-read")
+
+let test_shrink_drops_repeated_flag () =
+  let clazz =
+    clazz "mislabeled" "smallbank" ~txns:40 ~expect:G.Fail
+      "--max-retries 2 --crash-at 100000 --crash-at 300000"
+  in
+  let cell = (G.cells (G.make ~campaign_seed:7 [ clazz ])).(0) in
+  let shrunk = shrink_unexpected cell in
+  Alcotest.(check int) "one --crash-at left" 1
+    (count_flag "--crash-at" shrunk.G.clazz);
+  Alcotest.(check int) "--max-retries kept" 1
+    (count_flag "--max-retries" shrunk.G.clazz)
+
 let suite =
   [
     Alcotest.test_case "derived seeds are positional citations" `Quick
@@ -393,6 +442,10 @@ let suite =
       `Quick test_parallel_sweep_parses_on_main;
     Alcotest.test_case "orchestrator shrinks unexpected cells" `Quick
       test_orchestrator_shrinks_unexpected;
+    Alcotest.test_case "shrunk line keeps the planted fault" `Quick
+      test_shrink_keeps_planted_fault;
+    Alcotest.test_case "repeated flags shrink to one occurrence" `Quick
+      test_shrink_drops_repeated_flag;
     Alcotest.test_case "shrunk reproducers replay byte-for-byte (50 seeds)"
       `Slow test_shrinker_replays;
     Alcotest.test_case "1000-cell six-plane grid: serial = parallel bytes"

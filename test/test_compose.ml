@@ -36,47 +36,15 @@ module Link = Leopard_net.Faulty_link
 module Wal = Minidb.Wal
 module Checker = Leopard.Checker
 module Codec = Leopard_trace.Codec
-module Rng = Leopard_util.Rng
 
 let si = Leopard.Il_profile.postgresql_si
 let x = Helpers.cell 0
-
-let row_on shard =
-  let rec go r =
-    if r > 10_000 then Alcotest.fail "no row found for shard"
-    else if Group.shard_of_row ~shards:2 (0, r) = shard then r
-    else go (r + 1)
-  in
-  go 0
-
-let cell_a = Helpers.cell (row_on 0)
-let cell_b = Helpers.cell (row_on 1)
 
 (* Hot-row read-modify-write with a heavy cross-shard share: committed
    writes land on both shards of a 2-shard ring and later reads collide
    with them, so a shard that silently loses a committed record leaves
    observable contradictions. *)
-let cross_spec () =
-  let next = Leopard_workload.Spec.fresh_value_counter () in
-  Leopard_workload.Spec.make ~name:"cross-rmw"
-    ~initial:[ (cell_a, 0); (cell_b, 0) ]
-    ~next_txn:(fun rng ->
-      match Rng.int rng 4 with
-      | 0 ->
-        Leopard_workload.Program.read [ cell_a ] (fun _ ->
-            Leopard_workload.Program.write_then
-              [ (cell_a, next ()) ]
-              Leopard_workload.Program.finish)
-      | 1 ->
-        Leopard_workload.Program.read [ cell_b ] (fun _ ->
-            Leopard_workload.Program.write_then
-              [ (cell_b, next ()) ]
-              Leopard_workload.Program.finish)
-      | _ ->
-        Leopard_workload.Program.read [ cell_a; cell_b ] (fun _ ->
-            Leopard_workload.Program.write_then
-              [ (cell_a, next ()); (cell_b, next ()) ]
-              Leopard_workload.Program.finish))
+let cross_spec = Helpers.workload "cross-rmw"
 
 let run_with ?shard ?(crash_at = []) ?(clients = 4) ?(txns = 80) ?(seed = 7)
     () =

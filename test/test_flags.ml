@@ -6,7 +6,7 @@
    - [Flags.parse] reports cmdliner's diagnostic instead of exiting,
      and refuses to run off the main domain, where cmdliner's output
      would land in the main domain's [Format.str_formatter];
-   - a reproducer line keeps every digit of its rates;
+   - every digit of a rate in a reproducer line reaches [Flags];
    - every preset cell agrees with its printed line: the built CLI run
      on [Grid.args] exits with the cell's verdict and prints the cell's
      engine counts and degradation line. *)
@@ -88,45 +88,33 @@ let test_parse_errors () =
     Alcotest.(check bool) "names the flag" true
       (Helpers.contains e "--chaos-drop")
 
-(* The words after [flag] in a reproducer line, parsed back. *)
-let rate_after flag line =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> float_of_string v
-    | _ :: rest -> go rest
-    | [] -> Alcotest.failf "%s not in %s" flag line
-  in
-  go (String.split_on_char ' ' line)
-
+(* A chaos cell whose crash rate is written as [crash]. *)
 let chaos_cell crash =
   let clazz =
-    {
-      G.cname = "c";
-      workload = "blindw-rw";
-      level = Minidb.Isolation.Snapshot_isolation;
-      txns = 20;
-      clients = 2;
-      max_retries = 0;
-      plane = G.Chaos { crash; drop = 0.02; dup = 1e-7; delay = 0.05 };
-      expect = G.Any;
-    }
+    G.clazz "c" ~workload:"blindw-rw" ~txns:20 ~clients:2 ~expect:G.Any
+      ("--chaos-crash " ^ crash
+     ^ " --chaos-drop 0.02 --chaos-dup 1e-07 --chaos-delay 0.05")
   in
   (G.cells (G.make [ clazz ])).(0)
 
+(* The four chaos rates the cell's line parses to. *)
+let rates_of_line cell = Flags.chaos_rates (parsed (G.args cell))
+
 let test_lossless_rates () =
-  let line = G.cli_line (chaos_cell 0.1234567) in
-  Alcotest.(check (float 0.0)) "seven digits survive" 0.1234567
-    (rate_after "--chaos-crash" line);
-  Alcotest.(check (float 0.0)) "tiny rate survives" 1e-7
-    (rate_after "--chaos-dup" line);
-  Alcotest.(check bool) "short rates stay short" true
-    (Helpers.contains line "--chaos-drop 0.02 ")
+  let cell = chaos_cell "0.1234567" in
+  Alcotest.(check (list (float 0.0)))
+    "every digit reaches Flags"
+    [ 0.1234567; 0.02; 1e-7; 0.05 ]
+    (rates_of_line cell);
+  Alcotest.(check bool) "the line carries the flags verbatim" true
+    (Helpers.contains (G.cli_line cell) "--chaos-drop 0.02 --chaos-dup 1e-07 ")
 
 let prop_rates_round_trip =
   QCheck.Test.make ~count:300 ~name:"every rate round-trips through the line"
     (QCheck.float_range 0.0 1.0)
     (fun crash ->
       Float.equal crash
-        (rate_after "--chaos-crash" (G.cli_line (chaos_cell crash))))
+        (List.hd (rates_of_line (chaos_cell (Printf.sprintf "%.17g" crash)))))
 
 (* --- each preset cell agrees with its line -------------------------- *)
 
@@ -137,11 +125,9 @@ let test_cells_agree_with_lines () =
   let classes =
     List.filter_map
       (fun (_, (c : G.clazz)) ->
-        match c.G.plane with
-        | G.Selftest_crash _ | G.Selftest_hang -> None
-        | G.Baseline | G.Chaos _ | G.Recovery _ | G.Net _ | G.Repl _
-        | G.Shard _ | G.Stacked _ | G.Engine_fault _ ->
-          Some c)
+        match c.G.expect with
+        | G.Crash | G.Stall -> None
+        | G.Pass | G.Fail | G.Any -> Some c)
       G.presets
   in
   let cells = G.cells (G.make ~seeds_per_class:2 classes) in

@@ -41,17 +41,7 @@ let y = Helpers.cell 1
    engine itself would normally prevent — exactly what a second unfenced
    timeline or a stale replica snapshot lets slip through.  (Smallbank's
    1000 uniform accounts make such collisions too rare to observe.) *)
-let hot_spec () =
-  let next = Leopard_workload.Spec.fresh_value_counter () in
-  let cells = Array.init 4 Helpers.cell in
-  Leopard_workload.Spec.make ~name:"hot-rmw"
-    ~initial:(Array.to_list (Array.map (fun c -> (c, 0)) cells))
-    ~next_txn:(fun rng ->
-      let c = cells.(Leopard_util.Rng.int rng 4) in
-      Leopard_workload.Program.read [ c ] (fun _ ->
-          Leopard_workload.Program.write_then
-            [ (c, next ()) ]
-            Leopard_workload.Program.finish))
+let hot_spec = Helpers.workload "hot-rmw"
 
 let run_with ?repl ?spec:(mk = spec) ?(clients = 6) ?(txns = 200) ?(seed = 7)
     () =

@@ -30,7 +30,6 @@ module Link = Leopard_net.Faulty_link
 module Checker = Leopard.Checker
 module Trace = Leopard_trace.Trace
 module Codec = Leopard_trace.Codec
-module Rng = Leopard_util.Rng
 
 let spec () = Leopard_workload.Smallbank.spec ()
 let si = Leopard.Il_profile.postgresql_si
@@ -47,34 +46,11 @@ let row_on shard =
   in
   go 0
 
-let cell_a = Helpers.cell (row_on 0)
-let cell_b = Helpers.cell (row_on 1)
-
-(* Read-modify-write over one hot row per shard, with a configurable
-   share of cross-shard transactions: collisions are frequent enough
-   that a lying shard leaves observable contradictions, and the
-   cross-shard share keeps the 2PC path busy. *)
-let cross_spec ?(cross_weight = 2) () =
-  let next = Leopard_workload.Spec.fresh_value_counter () in
-  Leopard_workload.Spec.make ~name:"cross-rmw"
-    ~initial:[ (cell_a, 0); (cell_b, 0) ]
-    ~next_txn:(fun rng ->
-      match Rng.int rng (2 + cross_weight) with
-      | 0 ->
-        Leopard_workload.Program.read [ cell_a ] (fun _ ->
-            Leopard_workload.Program.write_then
-              [ (cell_a, next ()) ]
-              Leopard_workload.Program.finish)
-      | 1 ->
-        Leopard_workload.Program.read [ cell_b ] (fun _ ->
-            Leopard_workload.Program.write_then
-              [ (cell_b, next ()) ]
-              Leopard_workload.Program.finish)
-      | _ ->
-        Leopard_workload.Program.read [ cell_a; cell_b ] (fun _ ->
-            Leopard_workload.Program.write_then
-              [ (cell_a, next ()); (cell_b, next ()) ]
-              Leopard_workload.Program.finish))
+(* Read-modify-write over one hot row per shard of a 2-shard ring, half
+   the transactions touching both: collisions are frequent enough that a
+   lying shard leaves observable contradictions, and the cross-shard
+   share keeps the 2PC path busy. *)
+let cross_spec = Helpers.workload "cross-rmw"
 
 let run_with ?shard ?spec:(mk = spec) ?(clients = 6) ?(txns = 200) ?(seed = 7)
     () =
@@ -625,6 +601,16 @@ let test_placement_is_total_and_stable () =
     (let s = List.init 100 (fun r -> Group.shard_of_row ~shards:2 (0, r)) in
      List.mem 0 s && List.mem 1 s)
 
+(* The catalog cannot call [Group.shard_of_row], so its cross-rmw rows
+   are literals; they must stay one per shard of a 2-shard ring. *)
+let test_cross_rmw_straddles_ring () =
+  Alcotest.(check (list (pair int int)))
+    "cross-rmw's cells are table 0, rows on shards 0 and 1"
+    [ (0, row_on 0); (0, row_on 1) ]
+    (List.map
+       (fun (c, _) -> Leopard_trace.Cell.row_key c)
+       (cross_spec ()).Leopard_workload.Spec.initial)
+
 let suite =
   [
     Alcotest.test_case "disabled shard plane is identity" `Quick
@@ -663,4 +649,6 @@ let suite =
       test_shard_count_validator;
     Alcotest.test_case "placement total and stable" `Quick
       test_placement_is_total_and_stable;
+    Alcotest.test_case "cross-rmw rows straddle a 2-shard ring" `Quick
+      test_cross_rmw_straddles_ring;
   ]
