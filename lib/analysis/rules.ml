@@ -45,9 +45,10 @@ let d003 =
     group = Determinism;
     summary = "Hashtbl iteration whose order may escape";
     rationale =
-      "Hashtbl.iter/fold order depends on insertion history; results \
-       reaching traces, verdicts or reports must be sorted (the call \
-       is absolved when it sits directly under a sort)";
+      "Hashtbl.iter/fold/filter_map_inplace/to_seq* order depends on \
+       insertion history; results reaching traces, verdicts or reports \
+       must be sorted (the call is absolved when it sits directly under \
+       a sort)";
   }
 
 let d004 =
@@ -440,7 +441,10 @@ let is_absolved st (loc : Location.t) = Hashtbl.mem st.absolved loc.loc_start.po
 
 let is_hashtbl_iteration parts =
   match List.rev parts with
-  | ("iter" | "fold") :: prev :: _ -> prev = "Hashtbl" || prev = "Tbl"
+  | ( "iter" | "fold" | "filter_map_inplace" | "to_seq" | "to_seq_keys"
+    | "to_seq_values" )
+    :: prev :: _ ->
+    prev = "Hashtbl" || prev = "Tbl"
   | _ -> false
 
 let is_sort_head parts =

@@ -34,6 +34,19 @@ type await_entry = {
   a_snapshot_iv : Interval.t;
 }
 
+(* Readers of one cell's untraced initial state.  [order] (newest first)
+   fixes the rw emission order and the checkpoint's [ir] record;
+   [members] answers membership without walking it. *)
+type initial_readers = {
+  mutable order : int list;
+  members : (int, unit) Hashtbl.t;
+}
+
+let initial_readers_of order =
+  let members = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.replace members id ()) order;
+  { order; members }
+
 type degradation = {
   crashed_clients : int;
   indeterminate_txns : int;
@@ -99,7 +112,7 @@ type t = {
   log : Dep.Log.t;
   txns : (int, vtxn) Hashtbl.t;
   deferred : pending_read Leopard_util.Min_heap.t;
-  initial_readers : int list ref Cell.Tbl.t;
+  initial_readers : initial_readers Cell.Tbl.t;
       (* readers that observed a cell's untraced initial state before any
          version was known; resolved into rw edges when the cell's first
          version installs *)
@@ -510,7 +523,7 @@ let install_versions t (v : vtxn) ~commit_iv =
                             to_txn = v.vid;
                             source = Dep.Derived_rw;
                           })
-                    !readers;
+                    readers.order;
                   Cell.Tbl.remove t.initial_readers cell
                 | None -> ()
               end
@@ -552,12 +565,14 @@ and check_item t (pr : pending_read) cell value =
         match Cell.Tbl.find_opt t.initial_readers cell with
         | Some r -> r
         | None ->
-          let r = ref [] in
+          let r = initial_readers_of [] in
           Cell.Tbl.add t.initial_readers cell r;
           r
       in
-      if not (List.mem pr.reader !readers) then
-        readers := pr.reader :: !readers)
+      if not (Hashtbl.mem readers.members pr.reader) then begin
+        Hashtbl.replace readers.members pr.reader ();
+        readers.order <- pr.reader :: readers.order
+      end)
   | _ -> (
     let candidates =
       narrow t ~snapshot:pr.snapshot_iv
@@ -808,10 +823,9 @@ let horizon t =
      (its terminal trace cannot start before the read ends at a sequential
      client), but hostile histories can violate that; never prune past a
      queued read's snapshot. *)
-  List.fold_left
+  Leopard_util.Min_heap.fold
     (fun acc pr -> min acc (Interval.bef pr.snapshot_iv))
-    h
-    (Leopard_util.Min_heap.to_sorted_list t.deferred)
+    h t.deferred
 
 let prune_to t h =
   if h > t.pruned_to then t.pruned_to <- h;
@@ -820,10 +834,16 @@ let prune_to t h =
   t.pruned_locks <- t.pruned_locks + Me_verifier.prune t.me ~horizon:h;
   t.pruned_fuw <- t.pruned_fuw + Fuw_verifier.prune t.fuw ~horizon:h;
   t.pruned_graph <- t.pruned_graph + Sc_verifier.gc t.sc ~frontier:h;
-  (* lint: allow hashtbl-order — in-place per-key prune, keys independent *)
-  Cell.Tbl.iter
+  (* lint: allow hashtbl-order — in-place per-key prune, keys independent;
+     an emptied cell leaves the table, which the G1a classification reads
+     as no aborted write *)
+  Cell.Tbl.filter_map_inplace
     (fun _cell entries ->
-      entries := List.filter (fun (_, _, aft) -> aft > h) !entries)
+      match List.filter (fun (_, _, aft) -> aft > h) !entries with
+      | [] -> None
+      | kept ->
+        entries := kept;
+        Some entries)
     t.aborted_values;
   (* prune terminated transaction records behind the horizon *)
   let victims =
@@ -873,10 +893,10 @@ let truncate t ~watermark =
   List.iter keep (Fuw_verifier.referenced_txns t.fuw);
   List.iter keep (Sc_verifier.referenced_txns t.sc);
   (* lint: allow hashtbl-order — building a membership set; commutative *)
-  Cell.Tbl.iter (fun _ readers -> List.iter keep !readers) t.initial_readers;
-  List.iter
-    (fun pr -> keep pr.reader)
-    (Leopard_util.Min_heap.to_sorted_list t.deferred);
+  Cell.Tbl.iter
+    (fun _ readers -> List.iter keep readers.order)
+    t.initial_readers;
+  Leopard_util.Min_heap.fold (fun () pr -> keep pr.reader) () t.deferred;
   (* lint: allow hashtbl-order — building a membership set; commutative *)
   Hashtbl.iter
     (fun reader entries ->
@@ -1496,7 +1516,7 @@ let encode t =
                      c.Cell.col v)
                  pr.items))))
     (Leopard_util.Min_heap.to_sorted_list t.deferred);
-  Cell.Tbl.fold (fun cell r acc -> (cell, !r) :: acc) t.initial_readers []
+  Cell.Tbl.fold (fun cell r acc -> (cell, r.order) :: acc) t.initial_readers []
   |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
   |> List.iter (fun ((c : Cell.t), readers) ->
          line
@@ -1768,7 +1788,8 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
             if readers = "" then []
             else List.map int_of_string (String.split_on_char ',' readers)
           in
-          Cell.Tbl.replace initial_readers (parse_cell tb r c) (ref readers)
+          Cell.Tbl.replace initial_readers (parse_cell tb r c)
+            (initial_readers_of readers)
         | _ -> failwith "Checker.decode: malformed initial-reader record")
       (in_order ir_lines);
     let aborted_values =

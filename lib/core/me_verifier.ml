@@ -216,8 +216,9 @@ let restore lines =
 let prune t ~horizon =
   let dropped = ref 0 in
   (* lint: allow hashtbl-order — per-key in-place prune plus a
-     commutative drop count *)
-  Hashtbl.iter
+     commutative drop count; an emptied row leaves the table, which
+     every reader treats as an empty row *)
+  Hashtbl.filter_map_inplace
     (fun _row entries ->
       let keep, drop =
         List.partition
@@ -228,7 +229,8 @@ let prune t ~horizon =
           !entries
       in
       dropped := !dropped + List.length drop;
-      entries := keep)
+      entries := keep;
+      match keep with [] -> None | _ :: _ -> Some entries)
     t.rows;
   t.live <- t.live - !dropped;
   !dropped

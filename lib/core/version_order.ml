@@ -12,9 +12,16 @@ type version = {
 
 type chain = { mutable versions : version list (* ascending commit aft *) }
 
-type t = { chains : chain Cell.Tbl.t; mutable live : int }
+(* [multi] indexes the chains holding two or more versions, the only
+   ones [prune] can shorten: a chain's single version is its own pivot. *)
+type t = {
+  chains : chain Cell.Tbl.t;
+  multi : chain Cell.Tbl.t;
+  mutable live : int;
+}
 
-let create () = { chains = Cell.Tbl.create 4096; live = 0 }
+let create () =
+  { chains = Cell.Tbl.create 4096; multi = Cell.Tbl.create 64; live = 0 }
 
 let get_chain t cell =
   match Cell.Tbl.find_opt t.chains cell with
@@ -26,6 +33,7 @@ let get_chain t cell =
 
 let install t cell v ~predecessor ~successor =
   let c = get_chain t cell in
+  (match c.versions with [ _ ] -> Cell.Tbl.replace t.multi cell c | _ -> ());
   let key x = Interval.aft x.commit_iv in
   (* Ascending insert; new versions usually go at the tail. *)
   let rec go prev = function
@@ -117,17 +125,23 @@ let restore lines =
       | _ -> failwith "Version_order.restore: malformed version line")
     lines;
   (* lint: allow hashtbl-order — each binding becomes its own chain; the
-     chains table is only ever consulted per cell *)
+     chains table and its index are only ever consulted per cell *)
   Cell.Tbl.iter
-    (fun cell r -> Cell.Tbl.replace t.chains cell { versions = List.rev !r })
+    (fun cell r ->
+      let c = { versions = List.rev !r } in
+      Cell.Tbl.replace t.chains cell c;
+      match c.versions with
+      | _ :: _ :: _ -> Cell.Tbl.replace t.multi cell c
+      | _ -> ())
     tails;
   t
 
 let prune t ~horizon =
   let dropped = ref 0 in
   (* lint: allow hashtbl-order — per-cell in-place prune plus a
-     commutative drop count *)
-  Cell.Tbl.iter
+     commutative drop count; a chain back to one version leaves the
+     index *)
+  Cell.Tbl.filter_map_inplace
     (fun _cell c ->
       (* The pivot for any snapshot taken at or after the horizon is at
          least the newest version with commit aft <= horizon.  Versions
@@ -140,7 +154,7 @@ let prune t ~horizon =
           if Interval.aft v.commit_iv <= horizon then newest_before (Some v) tl
           else newest_before acc tl
       in
-      match newest_before None c.versions with
+      (match newest_before None c.versions with
       | None -> ()
       | Some pivot ->
         (* Any version at least as new as the horizon-pivot can become
@@ -160,7 +174,8 @@ let prune t ~horizon =
             c.versions
         in
         dropped := !dropped + List.length garbage;
-        c.versions <- keep)
-    t.chains;
+        c.versions <- keep);
+      match c.versions with [ _ ] -> None | _ -> Some c)
+    t.multi;
   t.live <- t.live - !dropped;
   !dropped

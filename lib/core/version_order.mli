@@ -71,5 +71,6 @@ val prune : t -> horizon:int -> int
     snapshot taken at or after [horizon]: a version is dropped when it is
     certainly installed before {e every} version that could still serve
     as such a snapshot's pivot (the horizon-pivot and everything newer).
-    Pivot-overlap versions are kept, per Fig. 6.  Returns the number of
-    versions dropped. *)
+    Pivot-overlap versions are kept, per Fig. 6.  Only chains holding two
+    or more versions are visited, since a lone version is its own pivot.
+    Returns the number of versions dropped. *)

@@ -105,3 +105,10 @@ let to_sorted_list t =
     match pop copy with None -> List.rev acc | Some v -> go (v :: acc)
   in
   go []
+
+let fold f acc t =
+  let acc = ref acc in
+  for i = 0 to t.size - 1 do
+    acc := f !acc t.data.(i).value
+  done;
+  !acc

@@ -37,8 +37,13 @@ val drain_while : 'a t -> ('a -> bool) -> 'a list
 val clear : 'a t -> unit
 
 val to_sorted_list : 'a t -> 'a list
-(** Non-destructively lists all elements in ascending order (costly; used
-    only by tests). *)
+(** Non-destructively lists all elements in ascending order.  Costly: it
+    copies the heap and pops the copy empty; for deterministic dumps and
+    tests, where the order matters. *)
+
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** Folds over every element in heap order, which is not sorted but is
+    a function of the push/pop history; O(n), no copy. *)
 
 val peak_length : 'a t -> int
 (** High-water mark of {!length} since creation — the pipeline memory

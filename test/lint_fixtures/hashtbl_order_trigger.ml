@@ -1,1 +1,10 @@
 let dump h = Hashtbl.iter (fun k v -> Printf.printf "%d=%d\n" k v) h
+
+let drop_empty h =
+  Hashtbl.filter_map_inplace
+    (fun _ l -> match l with [] -> None | _ :: _ -> Some l)
+    h
+
+let pairs h = List.of_seq (Hashtbl.to_seq h)
+let keys h = List.of_seq (Hashtbl.to_seq_keys h)
+let values h = List.of_seq (Hashtbl.to_seq_values h)

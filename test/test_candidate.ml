@@ -121,6 +121,102 @@ let prop_sampled_visible_is_candidate =
       | None -> true (* read would see the initial state *)
       | Some (v, _) -> List.memq v candidates)
 
+(* Differential prune.  [Version_order.prune] visits only the chains
+   its index lists; the reference is the full sweep it replaced,
+   applied to every chain of the mirror's own dump (cell-major, chain
+   order; fields 7 and 8 hold the commit interval).  Each cell is
+   pruned by the Fig. 6 rule: the newest version committed by the
+   horizon is the pivot, and a version goes when it is certainly
+   installed before the pivot and every newer version. *)
+let full_sweep_prune ~horizon lines =
+  let fields l = Array.of_list (String.split_on_char '\t' l) in
+  let cell l = Array.sub (fields l) 0 3 in
+  let commit l =
+    let f = fields l in
+    (int_of_string f.(7), int_of_string f.(8))
+  in
+  let rec chains = function
+    | [] -> []
+    | l :: _ as ls ->
+      let same, rest = List.partition (fun l' -> cell l' = cell l) ls in
+      same :: chains rest
+  in
+  let sweep chain =
+    let vs = List.mapi (fun i l -> (i, commit l)) chain in
+    let pivot =
+      List.fold_left
+        (fun acc (i, (_, aft)) -> if aft <= horizon then Some (i, aft) else acc)
+        None vs
+    in
+    match pivot with
+    | None -> chain
+    | Some (p, pivot_aft) ->
+      let boundary =
+        List.fold_left
+          (fun acc (_, (bef, aft)) -> if aft >= pivot_aft then min acc bef else acc)
+          max_int vs
+      in
+      List.filteri (fun i l -> i = p || snd (commit l) > boundary) chain
+  in
+  let kept = List.concat_map sweep (chains lines) in
+  (kept, List.length lines - List.length kept)
+
+type vo_op = Install of int * int * int | Prune of int | Roundtrip
+
+let vo_op_to_string = function
+  | Install (row, bef, width) -> Printf.sprintf "install r%d (%d,+%d)" row bef width
+  | Prune step -> Printf.sprintf "prune +%d" step
+  | Roundtrip -> "roundtrip"
+
+let prop_indexed_prune_is_full_sweep =
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 120)
+        (frequency
+           [
+             ( 6,
+               map3
+                 (fun row bef width -> Install (row, bef, width))
+                 (int_bound 3) (int_bound 1000) (1 -- 60) );
+             (3, map (fun step -> Prune step) (int_bound 80));
+             (1, return Roundtrip);
+           ]))
+  in
+  QCheck.Test.make ~name:"indexed version prune equals a full sweep"
+    ~count:300
+    (QCheck.make gen ~print:(fun ops ->
+         String.concat "; " (List.map vo_op_to_string ops)))
+    (fun ops ->
+      let t = ref (Version_order.create ()) and horizon = ref 0 in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Install (row, bef, width) ->
+            Version_order.install !t (Helpers.cell row)
+              {
+                (version ~txn:i ~value:(i mod 5) ~commit:(iv bef (bef + width)) ())
+                with
+                readers = List.init (i mod 3) (fun k -> i + k + 1);
+              }
+              ~predecessor:ignore ~successor:ignore
+          | Prune step ->
+            horizon := !horizon + step;
+            let expected, drops =
+              full_sweep_prune ~horizon:!horizon (Version_order.dump !t)
+            in
+            let dropped = Version_order.prune !t ~horizon:!horizon in
+            if
+              dropped <> drops
+              || Version_order.dump !t <> expected
+              || Version_order.live_versions !t <> List.length expected
+            then
+              QCheck.Test.fail_reportf
+                "op %d (horizon %d): dropped %d, the full sweep drops %d" i
+                !horizon dropped drops
+          | Roundtrip -> t := Version_order.restore (Version_order.dump !t))
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "Fig.6 classification" `Quick test_fig6_classification;
@@ -129,4 +225,5 @@ let suite =
     Alcotest.test_case "single version" `Quick test_single_version;
     Alcotest.test_case "empty chain" `Quick test_empty_chain;
     Helpers.qtest prop_sampled_visible_is_candidate;
+    Helpers.qtest prop_indexed_prune_is_full_sweep;
   ]

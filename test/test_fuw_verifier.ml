@@ -99,6 +99,75 @@ let test_prune () =
   Alcotest.(check int) "old entry dropped" 1 dropped;
   Alcotest.(check int) "recent kept" 1 (Fuw.live_entries t)
 
+(* Differential prune.  [Fuw.prune] deletes a row once its last entry
+   goes; the reference is the full sweep over the registry's own dump:
+   drop every entry committed by the horizon (field 6 is the commit
+   after-timestamp). *)
+let full_sweep_prune ~horizon lines =
+  let pruned l =
+    match String.split_on_char '\t' l with
+    | [ _; _; _; _; _; _; ca ] -> int_of_string ca <= horizon
+    | _ -> Alcotest.failf "unexpected dump line %S" l
+  in
+  let kept = List.filter (fun l -> not (pruned l)) lines in
+  (kept, List.length lines - List.length kept)
+
+type op = Register of int * int * int * int | Prune of int | Roundtrip
+
+let op_to_string = function
+  | Register (r, snap, gap, w) ->
+    Printf.sprintf "register r%d snapshot %d commit +%d (+%d)" r snap gap w
+  | Prune step -> Printf.sprintf "prune +%d" step
+  | Roundtrip -> "roundtrip"
+
+let prop_prune_is_full_sweep =
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 120)
+        (frequency
+           [
+             ( 6,
+               map2
+                 (fun (row, snap) (gap, width) -> Register (row, snap, gap, width))
+                 (pair (int_bound 3) (int_bound 1000))
+                 (pair (int_bound 60) (1 -- 40)) );
+             (3, map (fun step -> Prune step) (int_bound 80));
+             (1, return Roundtrip);
+           ]))
+  in
+  QCheck.Test.make ~name:"FUW prune equals a full sweep" ~count:300
+    (QCheck.make gen ~print:(fun ops ->
+         String.concat "; " (List.map op_to_string ops)))
+    (fun ops ->
+      let t = ref (Fuw.create ()) and horizon = ref 0 in
+      let on_pair ~row:_ ~other:_ _ = () in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Register (r, snap, gap, width) ->
+            let commit = snap + 1 + gap in
+            Fuw.register !t ~row:(0, r)
+              (entry ~txn:i ~snapshot:(iv snap (snap + 1))
+                 ~commit:(iv commit (commit + width)))
+              ~on_pair
+          | Prune step ->
+            horizon := !horizon + step;
+            let expected, drops =
+              full_sweep_prune ~horizon:!horizon (Fuw.dump !t)
+            in
+            let dropped = Fuw.prune !t ~horizon:!horizon in
+            if
+              dropped <> drops
+              || Fuw.dump !t <> expected
+              || Fuw.live_entries !t <> List.length expected
+            then
+              QCheck.Test.fail_reportf
+                "op %d (horizon %d): dropped %d, the full sweep drops %d" i
+                !horizon dropped drops
+          | Roundtrip -> t := Fuw.restore (Fuw.dump !t))
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "Fig.8a violation" `Quick test_fig8a_violation;
@@ -108,4 +177,5 @@ let suite =
     Helpers.qtest prop_violation_certain;
     Alcotest.test_case "register evaluates pairs" `Quick test_register_pairs;
     Alcotest.test_case "prune" `Quick test_prune;
+    Helpers.qtest prop_prune_is_full_sweep;
   ]

@@ -130,6 +130,18 @@ let test_allowed (slug, zone) () =
   Alcotest.(check int) (slug ^ " fully suppressed") 0 (List.length r.findings);
   Alcotest.(check bool) "suppression counted" true (r.suppressed >= 1)
 
+(* D003 matches every hash-order traversal, not only iter/fold: the
+   trigger fixture holds one call of each form, each on its own line. *)
+let test_hashtbl_order_forms () =
+  let r = lint_fixture ~zone:Zone.Core (fixture_path "hashtbl-order" "trigger") in
+  Alcotest.(check (list int))
+    "iter, filter_map_inplace, to_seq, to_seq_keys, to_seq_values"
+    [ 1; 4; 8; 9; 10 ]
+    (List.sort_uniq Int.compare
+       (List.map (fun (f : A.Finding.t) -> f.line) r.findings));
+  let a = lint_fixture ~zone:Zone.Core (fixture_path "hashtbl-order" "allowed") in
+  Alcotest.(check int) "every form suppressed" 6 a.suppressed
+
 (* P-rule allowed fixtures are clean because the hazard is gone, not
    because it was excused. *)
 let test_clean_allowed (slug, zone) () =
@@ -499,6 +511,8 @@ let suite =
     Alcotest.test_case "exit codes" `Quick test_exit_codes;
     Alcotest.test_case "every trigger fails the gate" `Quick
       test_exit_codes_all_triggers;
+    Alcotest.test_case "hashtbl-order covers every traversal form" `Quick
+      test_hashtbl_order_forms;
     Alcotest.test_case "whole repo is clean" `Quick test_repo_is_clean;
   ]
   @ fixture_tests

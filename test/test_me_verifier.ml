@@ -151,6 +151,86 @@ let test_prune () =
   Alcotest.(check int) "released old entry pruned" 1 dropped;
   Alcotest.(check int) "unreleased kept" 1 (Me.live_entries t)
 
+(* Differential prune.  [Me.prune] deletes a row once its last entry
+   goes; the reference is the full sweep over the lock table's own
+   dump: drop every [e] line released by the horizon (field 8 is the
+   release after-timestamp, "-" while held), keep the [t] lines. *)
+let full_sweep_prune ~horizon lines =
+  let pruned l =
+    match String.split_on_char '\t' l with
+    | [ "e"; _; _; _; _; _; _; _; ra ] -> ra <> "-" && int_of_string ra <= horizon
+    | _ -> false
+  in
+  let kept = List.filter (fun l -> not (pruned l)) lines in
+  (kept, List.length lines - List.length kept)
+
+type op =
+  | Acquire of int * int * bool * int * int  (** row, txn, X?, bef, width *)
+  | Release of int * int * int  (** txn, bef, width *)
+  | Discard of int
+  | Prune of int
+  | Roundtrip
+
+let op_to_string = function
+  | Acquire (r, txn, x, bef, w) ->
+    Printf.sprintf "acquire r%d t%d %s (%d,+%d)" r txn (if x then "X" else "S") bef w
+  | Release (txn, bef, w) -> Printf.sprintf "release t%d (%d,+%d)" txn bef w
+  | Discard txn -> Printf.sprintf "discard t%d" txn
+  | Prune step -> Printf.sprintf "prune +%d" step
+  | Roundtrip -> "roundtrip"
+
+let prop_prune_is_full_sweep =
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 150)
+        (frequency
+           [
+             ( 5,
+               map3
+                 (fun (row, txn) x (bef, width) -> Acquire (row, txn, x, bef, width))
+                 (pair (int_bound 3) (int_bound 7))
+                 bool
+                 (pair (int_bound 1000) (1 -- 40)) );
+             ( 3,
+               map3 (fun txn bef width -> Release (txn, bef, width))
+                 (int_bound 7) (int_bound 1000) (1 -- 40) );
+             (1, map (fun txn -> Discard txn) (int_bound 7));
+             (3, map (fun step -> Prune step) (int_bound 80));
+             (1, return Roundtrip);
+           ]))
+  in
+  QCheck.Test.make ~name:"ME prune equals a full sweep" ~count:300
+    (QCheck.make gen ~print:(fun ops ->
+         String.concat "; " (List.map op_to_string ops)))
+    (fun ops ->
+      let t = ref (Me.create ()) and horizon = ref 0 in
+      let on_pair ~row:_ ~mine:_ ~other:_ _ = () in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Acquire (r, txn, x, bef, width) ->
+            Me.acquire !t ~row:(0, r) ~txn (if x then Me.X else Me.S)
+              ~iv:(iv bef (bef + width))
+          | Release (txn, bef, width) ->
+            Me.release !t ~txn ~iv:(iv bef (bef + width)) ~on_pair
+          | Discard txn -> Me.discard !t ~txn
+          | Prune step ->
+            horizon := !horizon + step;
+            let expected, drops = full_sweep_prune ~horizon:!horizon (Me.dump !t) in
+            let dropped = Me.prune !t ~horizon:!horizon in
+            let entries = List.filter (fun l -> l.[0] = 'e') expected in
+            if
+              dropped <> drops
+              || Me.dump !t <> expected
+              || Me.live_entries !t <> List.length entries
+            then
+              QCheck.Test.fail_reportf
+                "op %d (horizon %d): dropped %d, the full sweep drops %d" i
+                !horizon dropped drops
+          | Roundtrip -> t := Me.restore (Me.dump !t))
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "Fig.7a violation" `Quick test_fig7a_violation;
@@ -163,4 +243,5 @@ let suite =
     Alcotest.test_case "upgrade entries" `Quick test_upgrade_entries;
     Alcotest.test_case "shared locks no pair" `Quick test_shared_locks_no_pair;
     Alcotest.test_case "prune" `Quick test_prune;
+    Helpers.qtest prop_prune_is_full_sweep;
   ]

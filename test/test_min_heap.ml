@@ -101,6 +101,19 @@ let prop_interleaved =
           end)
         ops)
 
+(* fold sees exactly the stored elements: popped ones are gone even
+   though their slots are not cleared *)
+let test_fold_visits_stored_elements () =
+  let h = Min_heap.create ~compare in
+  List.iter (Min_heap.push h) [ 6; 3; 8; 1; 5 ];
+  ignore (Min_heap.pop h);
+  Min_heap.push h 4;
+  Alcotest.(check (list int)) "stored elements" [ 3; 4; 5; 6; 8 ]
+    (List.sort compare (Min_heap.fold (fun acc x -> x :: acc) [] h));
+  Alcotest.(check int) "heap intact" 5 (Min_heap.length h);
+  Min_heap.clear h;
+  Alcotest.(check int) "cleared" 0 (Min_heap.fold (fun n _ -> n + 1) 0 h)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -112,6 +125,8 @@ let suite =
     Alcotest.test_case "pop_exn on empty" `Quick test_pop_exn;
     Alcotest.test_case "to_sorted_list non-destructive" `Quick
       test_to_sorted_list_nondestructive;
+    Alcotest.test_case "fold visits the stored elements" `Quick
+      test_fold_visits_stored_elements;
     Helpers.qtest prop_heap_sorts;
     Helpers.qtest prop_interleaved;
   ]

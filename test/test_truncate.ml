@@ -173,9 +173,19 @@ let test_online_lag_identity () =
 
 (* --- tentpole: truncation never changes the verdict ---------------- *)
 
+(* TPC-C keeps inserting rows, so its key space grows with the history:
+   most cells get one version, and many are read before any is known. *)
+let tpcc_traces ~seed ~txns =
+  H.Run.all_traces_sorted
+    (H.Run.execute
+       (H.Run.config ~clients:8 ~seed ~spec:(W.Tpcc.spec ())
+          ~profile:Minidb.Profile.postgresql
+          ~level:Minidb.Isolation.Serializable ~stop:(H.Run.Txn_count txns) ()))
+
 let test_truncated_equals_untruncated_sweep () =
   (* 50 seeds; every fifth one runs a faulted probe so the Violation
-     path is exercised, the rest run clean chaos-free histories *)
+     path is exercised, the rest run clean chaos-free histories; every
+     seed also runs a TPC-C leg *)
   for seed = 0 to 49 do
     let traces, il =
       if seed mod 5 = 0 then begin
@@ -194,17 +204,40 @@ let test_truncated_equals_untruncated_sweep () =
         (H.Run.all_traces_sorted o, il_sr)
       end
     in
-    let plain = Helpers.check il traces in
-    let truncated = check_truncating ~window:37 il traces in
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d: truncated digest equals untruncated" seed)
-      (verdict_digest plain)
-      (verdict_digest truncated);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: truncations happened" seed)
-      true
-      (truncated.Leopard.Checker.truncations > 0)
+    List.iter
+      (fun (leg, traces, il) ->
+        let plain = Helpers.check il traces in
+        let truncated = check_truncating ~window:37 il traces in
+        Alcotest.(check string)
+          (Printf.sprintf "%s seed %d: truncated digest equals untruncated" leg
+             seed)
+          (verdict_digest plain)
+          (verdict_digest truncated);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed %d: truncations happened" leg seed)
+          true
+          (truncated.Leopard.Checker.truncations > 0))
+      [ ("base", traces, il); ("tpcc", tpcc_traces ~seed ~txns:300, il_sr) ]
   done
+
+(* The GC cadence changes how many deps get deduced (fewer transactions
+   coexist), never what the verifier asserts.  With GC off as the
+   reference, a GC after every trace must reach the same verdict. *)
+let test_tpcc_gc_cadence () =
+  let traces = tpcc_traces ~seed:7 ~txns:600 in
+  let digest gc_every =
+    let checker = Leopard.Checker.create ~gc_every il_sr in
+    List.iter (Leopard.Checker.feed checker) traces;
+    Leopard.Checker.finalize checker;
+    verdict_digest (Leopard.Checker.report checker)
+  in
+  let reference = digest 0 in
+  List.iter
+    (fun gc_every ->
+      Alcotest.(check string)
+        (Printf.sprintf "gc_every %d digest equals gc off" gc_every)
+        reference (digest gc_every))
+    [ 1; 64; 512 ]
 
 (* --- tentpole: live state is O(window), not O(history) ------------- *)
 
@@ -784,6 +817,8 @@ let suite =
       test_online_lag_identity;
     Alcotest.test_case "truncated verdict equals untruncated (50 seeds)"
       `Quick test_truncated_equals_untruncated_sweep;
+    Alcotest.test_case "TPC-C verdict is the same at every GC cadence"
+      `Quick test_tpcc_gc_cadence;
     Alcotest.test_case "truncated live size is O(window)" `Quick
       test_live_size_bounded_by_window;
     Alcotest.test_case "encode/decode round-trips mid-stream" `Quick
