@@ -45,6 +45,18 @@ let finish ~show_bugs (report : Leopard.Checker.report) =
     exit 1
   end
 
+(* A file that cannot be opened, read or written is exit 2, like a usage
+   error: one stderr line, never cmdliner's uncaught-exception report. *)
+let file_error verb path e =
+  prerr_endline (Printf.sprintf "cannot %s %s: %s" verb path e);
+  exit 2
+
+(* [f ()], where a [Sys_error] can only come from writing [path]. *)
+let writing path f =
+  match path with
+  | None -> f ()
+  | Some path -> ( try f () with Sys_error e -> file_error "write" path e)
+
 let print_truncation (report : Leopard.Checker.report) =
   Printf.printf
     "truncate : %d cut(s), %d settled dep(s) folded into totals, peak %d live \
@@ -57,18 +69,13 @@ let print_truncation (report : Leopard.Checker.report) =
    resume reproduces the uninterrupted verdict byte-for-byte. *)
 let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
     ~resume ~kill_after path =
-  let fail e =
-    prerr_endline ("cannot load " ^ path ^ ": " ^ e);
-    exit 2
-  in
   let contents, skipped =
     match
       if lenient then Ok (Leopard_trace.Codec.load_lenient_all ~path)
       else Result.map (fun c -> (c, [])) (Leopard_trace.Codec.load_all ~path)
     with
     | Ok loaded -> loaded
-    | Error e -> fail e
-    | exception Sys_error e -> fail e
+    | Error e | (exception Sys_error e) -> file_error "load" path e
   in
   let marks =
     Leopard_harness.Marks.of_codec contents ~skipped:(List.length skipped)
@@ -80,11 +87,12 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
   let total = List.length sorted in
   let wall0 = Leopard_util.Clock.wall () in
   let verified =
-    Leopard_harness.Session.verify ~gc_watermark ?checkpoint ~resume
-      ~file:path
-      ~after_trace:(fun n ->
-        if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
-      il marks (Leopard_harness.Session.Sorted sorted)
+    writing checkpoint (fun () ->
+        Leopard_harness.Session.verify ~gc_watermark ?checkpoint ~resume
+          ~file:path
+          ~after_trace:(fun n ->
+            if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
+          il marks (Leopard_harness.Session.Sorted sorted))
   in
   let wall = Leopard_util.Clock.wall () -. wall0 in
   List.iter prerr_endline verified.Leopard_harness.Session.warnings;
@@ -104,7 +112,7 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
     Printf.printf "recovery : trace spans %d server restart(s), %d wal \
                    record(s) damaged\n"
       (List.length epochs)
-      (sum (fun (e : Leopard_harness.Run.epoch_mark) -> e.damaged) epochs);
+      (sum (fun (e : Leopard_trace.Codec.epoch_mark) -> e.damaged) epochs);
   if ambiguous <> [] then
     Printf.printf
       "ambiguous: %d commit(s) with unknown outcome, %d resolved by later \
@@ -258,7 +266,8 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
   let outcome = Leopard_harness.Run.execute config in
   let wall0 = Leopard_util.Clock.wall () in
   let verified =
-    Leopard_harness.Session.of_outcome ~gc_watermark ?checkpoint il outcome
+    writing checkpoint (fun () ->
+        Leopard_harness.Session.of_outcome ~gc_watermark ?checkpoint il outcome)
   in
   let wall = Leopard_util.Clock.wall () -. wall0 in
   let report = verified.Leopard_harness.Session.report in
@@ -281,7 +290,7 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
   print_string (Leopard.Report_pp.degradation_line report.degradation);
   (match record with
   | Some path ->
-    Leopard_harness.Marks.record ~path outcome;
+    writing record (fun () -> Leopard_harness.Marks.record ~path outcome);
     Printf.printf "recorded : %s (%d traces)\n" path report.traces
   | None -> ());
   if infer then
@@ -569,7 +578,7 @@ let campaign_run cells_sel list_cells seeds campaign_seed cell_txns
       log = (if quiet then ignore else prerr_endline);
     }
   in
-  let o = Campaign.Orchestrator.run ~opts grid in
+  let o = writing checkpoint (fun () -> Campaign.Orchestrator.run ~opts grid) in
   (* Report header: the campaign seed and fingerprint are the citation
      root — any cell below reproduces from (campaign seed, index). *)
   Printf.printf "campaign : seed %d, fingerprint %s, %d cell(s) (%d class(es) x %d seed(s))\n"
@@ -595,9 +604,8 @@ let campaign_run cells_sel list_cells seeds campaign_seed cell_txns
   | Some json -> (
     match out with
     | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
+      writing out (fun () ->
+          Out_channel.with_open_text path (fun oc -> output_string oc json));
       Printf.printf "results  : %s\n" path
     | None -> ())
   | None ->
@@ -618,9 +626,10 @@ let campaign_run cells_sel list_cells seeds campaign_seed cell_txns
                r.Campaign.Orchestrator.bundle.Campaign.Shrink.shrunk
                  .Campaign.Grid.index)
         in
-        let oc = open_out path in
-        output_string oc (Campaign.Shrink.render r.Campaign.Orchestrator.bundle);
-        close_out oc)
+        writing (Some path) (fun () ->
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc
+                  (Campaign.Shrink.render r.Campaign.Orchestrator.bundle))))
       o.Campaign.Orchestrator.repros
   | _ -> ());
   List.iter

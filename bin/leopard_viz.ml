@@ -19,11 +19,11 @@ let parse_cell s =
   | _ -> None
 
 let run path cell width clients =
-  match Leopard_trace.Codec.load ~path with
-  | Error e ->
+  match Leopard_trace.Codec.load_all ~path with
+  | Error e | (exception Sys_error e) ->
     prerr_endline ("cannot load " ^ path ^ ": " ^ e);
     exit 2
-  | Ok traces -> (
+  | Ok { c_traces = traces; _ } -> (
     match cell with
     | None ->
       print_string

@@ -1,33 +1,14 @@
-(* Crash-safe campaign checkpoints.
+(* Crash-safe campaign checkpoints: one container frame per completed
+   cell, holding the cell's index and its outcome record, appended and
+   flushed as cells finish.  The container ([Leopard_trace.Ckpt]) owns
+   the header, checksums and damage handling; this module owns the
+   record and the checks only it can make — an index outside the grid,
+   a cell already seen, a record that does not decode — each of which
+   rejects the frame like damage: the valid prefix stays, the rest is
+   re-run.  Floats round-trip through Int64.bits_of_float so a resumed
+   campaign reproduces its results DB byte-for-byte. *)
 
-   One header line binding the file to a grid (fingerprint + cell
-   count), then one record line per completed cell, appended and flushed
-   as cells finish.  The file is an optimization, never an authority: a
-   resume may trust a record only if every byte of it checks out, and
-   anything suspicious degrades to re-running cells — the failure mode
-   "checkpoint corruption skipped a cell / crashed the sweep" must not
-   exist.
-
-   Robustness rules, in order:
-   - missing file: fresh start, silent (first run, not damage);
-   - unreadable header, wrong magic/version, fingerprint or cell-count
-     mismatch: ignore the whole file with a one-line warning (it
-     belongs to some other grid or some other era);
-   - a corrupt record line (bad field count, bad number, checksum
-     mismatch, out-of-range or duplicate index, failed unescape):
-     keep the valid prefix, drop the line and everything after it, warn
-     once.  A torn tail from a killed process loses at most the cell
-     being written; the cells it names are simply re-run.
-
-   Record fields are individually String.escaped (so no raw tabs or
-   newlines survive) and tab-joined behind a per-record FNV-1a checksum
-   of the payload.  Floats round-trip through Int64.bits_of_float so a
-   resumed campaign reproduces its results DB byte-for-byte. *)
-
-let magic = "leopard-campaign-checkpoint"
-let version = "v1"
-
-let checksum = Leopard_util.Fnv.hex
+module Ckpt = Leopard_trace.Ckpt
 
 (* {2 Encoding} *)
 
@@ -121,107 +102,38 @@ let decode_outcome fields =
     Option.map (fun budget -> Runner.Timeout { budget }) (int budget)
   | _ -> None
 
-(* {2 Writing} *)
+(* {2 The container} *)
 
-let write_header oc ~fingerprint ~cells =
-  Printf.fprintf oc "%s %s %s %d\n" magic version fingerprint cells;
-  flush oc
+(* The kind and the cell count keep a checker checkpoint, or another
+   grid's, from ever being decoded as this grid's cells. *)
+let fingerprint grid =
+  Ckpt.fingerprint
+    [ "campaign"; Grid.fingerprint grid; string_of_int (Grid.cell_count grid) ]
 
-let append oc ~index (outcome : Runner.outcome) =
-  let payload =
-    String.concat "\t" (List.map String.escaped (encode_outcome outcome))
+let writer ~path grid = Ckpt.writer ~path ~fingerprint:(fingerprint grid)
+
+let append w ~index outcome =
+  Ckpt.append w (string_of_int index :: encode_outcome outcome)
+
+let load ~path grid =
+  let cells = Grid.cell_count grid in
+  let seen = Array.make cells false in
+  let acc = ref [] in
+  let accept = function
+    | [] -> Error "empty record"
+    | index :: fields -> (
+      match int_of_string_opt index with
+      | None -> Error "unparseable cell index"
+      | Some i when i < 0 || i >= cells ->
+        Error (Printf.sprintf "cell index %d outside grid of %d" i cells)
+      | Some i when seen.(i) -> Error (Printf.sprintf "duplicate cell %d" i)
+      | Some i -> (
+        match decode_outcome fields with
+        | None -> Error (Printf.sprintf "undecodable record for cell %d" i)
+        | Some outcome ->
+          seen.(i) <- true;
+          acc := (i, outcome) :: !acc;
+          Ok ()))
   in
-  Printf.fprintf oc "c\t%d\t%s\t%s\n" index (checksum payload) payload;
-  flush oc
-
-(* {2 Loading} *)
-
-let parse_record ~cells ~seen line =
-  match String.split_on_char '\t' line with
-  | "c" :: index :: sum :: fields when fields <> [] -> (
-    let payload = String.concat "\t" fields in
-    match int_of_string_opt index with
-    | None -> Error "unparseable cell index"
-    | Some i when i < 0 || i >= cells ->
-      Error (Printf.sprintf "cell index %d outside grid of %d" i cells)
-    | Some i when seen.(i) -> Error (Printf.sprintf "duplicate cell %d" i)
-    | Some i ->
-      if not (String.equal sum (checksum payload)) then
-        Error (Printf.sprintf "checksum mismatch on cell %d" i)
-      else
-        let unescaped =
-          List.map
-            (fun f ->
-              match Scanf.unescaped f with
-              | s -> Some s
-              | exception Scanf.Scan_failure _ -> None)
-            fields
-        in
-        if List.exists Option.is_none unescaped then
-          Error (Printf.sprintf "unescapable field on cell %d" i)
-        else begin
-          match decode_outcome (List.filter_map Fun.id unescaped) with
-          | Some outcome ->
-            seen.(i) <- true;
-            Ok (i, outcome)
-          | None -> Error (Printf.sprintf "undecodable record for cell %d" i)
-        end)
-  | _ -> Error "unparseable record line"
-
-let load ~path ~fingerprint ~cells =
-  match open_in path with
-  | exception Sys_error _ -> ([], None)
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file ->
-          ([], Some (Printf.sprintf "checkpoint %s: empty file; starting \
-                                     from scratch" path))
-        | header -> (
-          match String.split_on_char ' ' header with
-          | [ m; v; fp; n ]
-            when String.equal m magic && String.equal v version
-                 && String.equal fp fingerprint
-                 && int_of_string_opt n = Some cells -> (
-            let seen = Array.make cells false in
-            let acc = ref [] in
-            let warning = ref None in
-            (try
-               let lineno = ref 1 in
-               let rec loop () =
-                 let line = input_line ic in
-                 incr lineno;
-                 match parse_record ~cells ~seen line with
-                 | Ok entry ->
-                   acc := entry :: !acc;
-                   loop ()
-                 | Error why ->
-                   warning :=
-                     Some
-                       (Printf.sprintf
-                          "checkpoint %s: line %d: %s; keeping %d valid \
-                           record(s), re-running the rest"
-                          path !lineno why (List.length !acc))
-               in
-               loop ()
-             with End_of_file -> ());
-            match !warning with
-            | Some _ as w -> (List.rev !acc, w)
-            | None -> (List.rev !acc, None))
-          | [ m; v; fp; _ ]
-            when String.equal m magic && String.equal v version
-                 && not (String.equal fp fingerprint) ->
-            ( [],
-              Some
-                (Printf.sprintf
-                   "checkpoint %s: grid fingerprint mismatch (file %s, grid \
-                    %s); starting from scratch"
-                   path fp fingerprint) )
-          | _ ->
-            ( [],
-              Some
-                (Printf.sprintf
-                   "checkpoint %s: unrecognized header; starting from scratch"
-                   path) )))
+  let warning = Ckpt.load ~path ~fingerprint:(fingerprint grid) accept in
+  (List.rev !acc, warning)

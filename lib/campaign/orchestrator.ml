@@ -7,7 +7,7 @@
    cells finish in, and whether the sweep was interrupted and resumed
    are all invisible in the output.
 
-   The checkpoint channel is shared by all workers; appends take a
+   The checkpoint writer is shared by all workers; appends take a
    mutex.  The file is rewritten from its trusted prefix before the
    sweep starts, which both heals a corrupt tail and keeps the file in
    lockstep with what the resume actually believed. *)
@@ -61,7 +61,7 @@ let run ?(opts = default_opts) (grid : Grid.t) =
   let checkpoint_warning = ref None in
   (match opts.checkpoint with
   | Some path ->
-    let entries, warning = Checkpoint.load ~path ~fingerprint ~cells:n in
+    let entries, warning = Checkpoint.load ~path grid in
     checkpoint_warning := warning;
     (match warning with Some msg -> opts.log msg | None -> ());
     List.iter
@@ -78,16 +78,15 @@ let run ?(opts = default_opts) (grid : Grid.t) =
     match opts.checkpoint with
     | None -> None
     | Some path ->
-      let oc = open_out path in
-      Checkpoint.write_header oc ~fingerprint ~cells:n;
+      let w = Checkpoint.writer ~path grid in
       Array.iteri
         (fun i slot ->
           match slot with
           | Some (r : Runner.result) ->
-            Checkpoint.append oc ~index:i r.Runner.outcome
+            Checkpoint.append w ~index:i r.Runner.outcome
           | None -> ())
         slots;
-      Some (oc, Mutex.create ())
+      Some (w, Mutex.create ())
   in
   let todo =
     Array.to_list cells
@@ -110,14 +109,14 @@ let run ?(opts = default_opts) (grid : Grid.t) =
     Pool.map ~jobs (Array.map Runner.prepare todo) (fun cell ->
         let r = Runner.execute ?step_budget:opts.step_budget cell in
         (match ckpt with
-        | Some (oc, mu) ->
+        | Some (w, mu) ->
           Mutex.protect mu (fun () ->
-              Checkpoint.append oc ~index:r.Runner.cell.Grid.index
+              Checkpoint.append w ~index:r.Runner.cell.Grid.index
                 r.Runner.outcome)
         | None -> ());
         r)
   in
-  (match ckpt with Some (oc, _) -> close_out oc | None -> ());
+  Option.iter (fun (w, _) -> Leopard_trace.Ckpt.close w) ckpt;
   Array.iter
     (fun (r : Runner.result) -> slots.(r.Runner.cell.Grid.index) <- Some r)
     executed;

@@ -155,7 +155,7 @@ val note_late_dropped : t -> int -> unit
 
 val note_lost_traces : t -> int -> unit
 (** Add traces known lost before dispatch (collection drops, corrupt
-    trace-file lines skipped by [Codec.load_lenient], ...). *)
+    trace-file lines skipped by [Codec.load_lenient_all], ...). *)
 
 val note_restart : t -> at:int -> replayed:int -> damaged:int -> unit
 (** Declare one server crash–recovery epoch boundary (a trace-file

@@ -2,7 +2,7 @@ module Checker = Leopard.Checker
 module Codec = Leopard_trace.Codec
 
 type t = {
-  epochs : Run.epoch_mark list;
+  epochs : Codec.epoch_mark list;
   ambiguous : int list;
   coord_ambiguous : int list;
   leaders : Codec.leader_mark list;
@@ -35,11 +35,7 @@ let of_outcome (o : Run.outcome) =
 let of_codec (c : Codec.contents) ~skipped =
   {
     empty with
-    epochs =
-      List.map
-        (fun (m : Codec.epoch_mark) ->
-          { Run.at = m.at; replayed = m.replayed; damaged = m.damaged })
-        c.c_epochs;
+    epochs = c.c_epochs;
     ambiguous = List.map (fun (m : Codec.ambiguous_mark) -> m.txn) c.c_ambiguous;
     coord_ambiguous =
       List.filter_map
@@ -57,19 +53,13 @@ let record ~path (o : Run.outcome) =
          (fun (client, txn, at) -> { Codec.at; txn; client })
          (wire_ambiguous o))
     ~leaders:o.Run.leaders ~shards:o.Run.shard_marks
-    ~prepares:o.Run.prepare_marks
-    ~epochs:
-      (List.mapi
-         (fun i (e : Run.epoch_mark) ->
-           { Codec.at = e.at; epoch = i + 1; replayed = e.replayed;
-             damaged = e.damaged })
-         o.Run.epochs)
+    ~prepares:o.Run.prepare_marks ~epochs:o.Run.epochs
     (Run.all_traces_sorted o)
 
 let apply checker m =
   if m.lost_traces > 0 then Checker.note_lost_traces checker m.lost_traces;
   List.iter
-    (fun (e : Run.epoch_mark) ->
+    (fun (e : Codec.epoch_mark) ->
       Checker.note_restart checker ~at:e.at ~replayed:e.replayed
         ~damaged:e.damaged)
     m.epochs;

@@ -5,7 +5,8 @@
     another.  {!Session} documents the order. *)
 
 type t = {
-  epochs : Run.epoch_mark list;  (** server restarts, oldest first *)
+  epochs : Leopard_trace.Codec.epoch_mark list;
+      (** server restarts, oldest first *)
   ambiguous : int list;  (** wire give-ups and replication-gate timeouts *)
   coord_ambiguous : int list;  (** commits orphaned by a coordinator crash *)
   leaders : Leopard_trace.Codec.leader_mark list;  (** failovers, oldest first *)

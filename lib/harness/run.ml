@@ -220,12 +220,6 @@ let config ?(faults = Minidb.Fault.Set.empty) ?(clients = 8) ?(seed = 42)
 let latency_for cfg client =
   match cfg.latency_of with Some f -> f client | None -> cfg.latency
 
-type epoch_mark = {
-  at : int;  (** simulated instant of the crash *)
-  replayed : int;  (** WAL records applied during recovery *)
-  damaged : int;  (** records torn/lost/reordered/duplicated *)
-}
-
 type outcome = {
   client_traces : Trace.t list array;
   op_trace : (int, Trace.t) Hashtbl.t;
@@ -244,7 +238,7 @@ type outcome = {
   aborts_crash : int;
   deadlocks : int;
   restarts : int;
-  epochs : epoch_mark list;  (* crash/restart boundaries, oldest first *)
+  epochs : Codec.epoch_mark list;  (* crash/restart boundaries, oldest first *)
   wal_appended : int;
   wal_damaged : int;
   sim_duration_ns : int;
@@ -769,7 +763,8 @@ let execute cfg =
           let s = Engine.crash_recover !engine_ref in
           epochs :=
             {
-              at = Sim.now sim;
+              Codec.at = Sim.now sim;
+              epoch = List.length !epochs + 1;
               replayed = s.Minidb.Recovery.replayed;
               damaged = Minidb.Wal.damaged_records s.Minidb.Recovery.damage;
             }
@@ -1008,7 +1003,9 @@ let execute cfg =
     epochs = List.rev !epochs;
     wal_appended = esum Engine.wal_appended;
     wal_damaged =
-      List.fold_left (fun acc e -> acc + e.damaged) 0 !epochs;
+      List.fold_left
+        (fun acc (e : Codec.epoch_mark) -> acc + e.damaged)
+        0 !epochs;
     sim_duration_ns = Sim.now sim;
     ops = esum Engine.ops_executed;
     retries = st.retries;

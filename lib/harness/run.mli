@@ -213,12 +213,6 @@ val config :
   unit ->
   config
 
-type epoch_mark = {
-  at : int;  (** simulated instant of the crash *)
-  replayed : int;  (** WAL records applied during recovery *)
-  damaged : int;  (** records torn/lost/reordered/duplicated *)
-}
-
 type outcome = {
   client_traces : Trace.t list array;
       (** per client, in issue order (monotone ts_bef) *)
@@ -240,7 +234,9 @@ type outcome = {
   aborts_crash : int;  (** transactions killed by server crashes *)
   deadlocks : int;
   restarts : int;  (** crash–recovery epochs the run spanned *)
-  epochs : epoch_mark list;  (** crash boundaries, oldest first *)
+  epochs : Leopard_trace.Codec.epoch_mark list;
+      (** crash boundaries, oldest first; [epoch] is the 1-based
+          position *)
   wal_appended : int;  (** commit records logged *)
   wal_damaged : int;  (** records damaged across all recoveries *)
   sim_duration_ns : int;

@@ -92,8 +92,13 @@ let finish t =
 (* The newest frame that validates, as (checker, cursor); anything else
    is a warning and a fresh start. *)
 let restore ~gc_every il (path, fingerprint) ~total =
-  let frame, warning = Ckpt.load ~path ~fingerprint in
-  let warnings = Option.to_list warning in
+  let frame = ref None in
+  let warning =
+    Ckpt.load ~path ~fingerprint (fun f ->
+        frame := Some f;
+        Ok ())
+  in
+  let frame = !frame and warnings = Option.to_list warning in
   let reject why =
     ( None,
       warnings

@@ -1,4 +1,5 @@
-(* Framed, fingerprinted checker checkpoints.
+(* The framed, fingerprinted checkpoint container: checker snapshots
+   and campaign cells both live in it.
 
    File layout:
 
@@ -8,12 +9,11 @@
      e <seq>
      ... more frames ...
 
-   (fields tab-separated).  Each frame is one complete snapshot; a
-   killed writer leaves at most one torn frame at the tail, which the
-   loader discards in favor of the previous complete frame.  Every
-   suspicious byte degrades toward "fresh start", never toward trusting
-   damaged state — the failure mode "corrupt checkpoint produced a wrong
-   verdict" must not exist. *)
+   (fields tab-separated).  A killed writer leaves at most one torn
+   frame at the tail, which the loader discards, keeping every complete
+   frame before it.  Every suspicious byte degrades toward "fresh
+   start", never toward trusting damaged state — the failure mode
+   "corrupt checkpoint produced a wrong verdict" must not exist. *)
 
 let magic = "leopard-check-checkpoint"
 let version = "v1"
@@ -91,72 +91,35 @@ let parse_frame ic first_line =
     | _ -> Error "malformed frame header")
   | _ -> Error "malformed frame header"
 
-let load ~path ~fingerprint =
+let load ~path ~fingerprint accept =
   match open_in path with
-  | exception Sys_error _ -> (None, None)
+  | exception Sys_error _ -> None
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match input_line ic with
-        | exception End_of_file ->
-          ( None,
-            Some
-              (Printf.sprintf
-                 "checkpoint %s: empty file; starting verification from \
-                  scratch"
-                 path) )
-        | header -> (
-          match String.split_on_char ' ' header with
-          | [ m; v; fp ]
-            when String.equal m magic && String.equal v version
-                 && String.equal fp fingerprint ->
-            let best = ref None in
-            let frames = ref 0 in
-            let damage = ref None in
-            (try
-               let rec loop () =
-                 let line = input_line ic in
-                 match parse_frame ic line with
-                 | Ok payload ->
-                   best := Some payload;
-                   incr frames;
-                   loop ()
-                 | Error why -> damage := Some why
-               in
-               loop ()
-             with End_of_file -> ());
-            let warning =
-              match !damage with
-              | None -> None
-              | Some why ->
-                Some
-                  (if !frames = 0 then
-                     Printf.sprintf
-                       "checkpoint %s: %s with no earlier complete frame; \
-                        starting verification from scratch"
-                       path why
-                   else
-                     Printf.sprintf
-                       "checkpoint %s: %s; resuming from frame %d (the last \
-                        that validates)"
-                       path why (!frames - 1))
-            in
-            (!best, warning)
-          | [ m; v; fp ]
-            when String.equal m magic && String.equal v version
-                 && not (String.equal fp fingerprint) ->
-            ( None,
-              Some
-                (Printf.sprintf
-                   "checkpoint %s: fingerprint mismatch (file %s, run %s) — \
-                    written by a different run or configuration; starting \
-                    verification from scratch"
-                   path fp fingerprint) )
-          | _ ->
-            ( None,
-              Some
-                (Printf.sprintf
-                   "checkpoint %s: unrecognized header; starting verification \
-                    from scratch"
-                   path) )))
+        let warn fmt =
+          Printf.ksprintf Option.some ("checkpoint %s: " ^^ fmt) path
+        in
+        let rec scan kept =
+          match input_line ic with
+          | exception End_of_file -> None
+          | line -> (
+            match Result.bind (parse_frame ic line) accept with
+            | Ok () -> scan (kept + 1)
+            | Error why when kept = 0 ->
+              warn "frame 0: %s; starting from scratch" why
+            | Error why ->
+              warn "frame %d: %s; keeping the %d frame(s) before it" kept why
+                kept)
+        in
+        match String.split_on_char ' ' (input_line ic) with
+        | exception End_of_file -> warn "empty file; starting from scratch"
+        | [ m; v; fp ] when String.equal m magic && String.equal v version ->
+          if String.equal fp fingerprint then scan 0
+          else
+            warn
+              "fingerprint mismatch (file %s, run %s) — written by a \
+               different run or configuration; starting from scratch"
+              fp fingerprint
+        | _ -> warn "unrecognized header; starting from scratch")

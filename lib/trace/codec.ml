@@ -242,14 +242,8 @@ let of_line line =
    timeline — an [S] line (at instant 0) declares the shard topology
    the whole file spans, and a [P] line sits where its 2PC round was
    decided (or its coordinator died undecided). *)
-let write_channel_ext oc ?(ambiguous = []) ?(leaders = []) ?(shards = [])
+let save_ext ~path ?(ambiguous = []) ?(leaders = []) ?(shards = [])
     ?(prepares = []) ~epochs traces =
-  output_string oc header;
-  output_char oc '\n';
-  let emit line =
-    output_string oc line;
-    output_char oc '\n'
-  in
   let marks =
     List.stable_sort
       (fun (a, _) (b, _) -> Int.compare a b)
@@ -262,22 +256,26 @@ let write_channel_ext oc ?(ambiguous = []) ?(leaders = []) ?(shards = [])
       @ List.map (fun (m : prepare_mark) -> (m.at, prepare_to_line m)) prepares
       )
   in
-  let rec go marks traces =
-    match (marks, traces) with
-    | (at, line) :: ms, t :: _ when at <= t.Trace.ts_bef ->
-      emit line;
-      go ms traces
-    | ms, t :: ts ->
-      emit (to_line t);
-      go ms ts
-    | (_, line) :: ms, [] ->
-      emit line;
-      go ms []
-    | [], [] -> ()
-  in
-  go marks traces
-
-let write_channel oc traces = write_channel_ext oc ~epochs:[] traces
+  Out_channel.with_open_text path (fun oc ->
+      let emit line =
+        output_string oc line;
+        output_char oc '\n'
+      in
+      let rec go marks traces =
+        match (marks, traces) with
+        | (at, line) :: ms, t :: _ when at <= t.Trace.ts_bef ->
+          emit line;
+          go ms traces
+        | ms, t :: ts ->
+          emit (to_line t);
+          go ms ts
+        | (_, line) :: ms, [] ->
+          emit line;
+          go ms []
+        | [], [] -> ()
+      in
+      emit header;
+      go marks traces)
 
 type contents = {
   c_traces : Trace.t list;
@@ -316,94 +314,38 @@ let rev_contents acc =
     c_prepares = List.rev acc.c_prepares;
   }
 
-let read_channel_all ic =
-  let rec go acc lineno =
-    match input_line ic with
-    | exception End_of_file -> Ok (rev_contents acc)
-    | line -> (
-      match entry_of_line line with
-      | Ok (Some entry) -> go (add_entry acc entry) (lineno + 1)
-      | Ok None -> go acc (lineno + 1)
-      | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-  in
-  go empty_contents 1
+(* The one line loop behind both readers.  [bad] sees each undecodable
+   line's 1-based number and diagnostic: the strict reader raises out of
+   the loop, the lenient one records the line and reads on.  Only a bad
+   line calls [bad], so a good line costs its decode and nothing more. *)
+let read ~path ~bad =
+  In_channel.with_open_text path (fun ic ->
+      let rec go acc lineno =
+        match input_line ic with
+        | exception End_of_file -> rev_contents acc
+        | line -> (
+          match entry_of_line line with
+          | Ok (Some entry) -> go (add_entry acc entry) (lineno + 1)
+          | Ok None -> go acc (lineno + 1)
+          | Error e ->
+            bad lineno e;
+            go acc (lineno + 1))
+      in
+      go empty_contents 1)
 
-let read_channel_full ic =
-  Result.map
-    (fun c -> (c.c_traces, c.c_epochs, c.c_ambiguous, c.c_leaders))
-    (read_channel_all ic)
-
-let read_channel_ext ic =
-  Result.map (fun (traces, epochs, _amb, _leaders) -> (traces, epochs))
-    (read_channel_full ic)
-
-let read_channel ic = Result.map fst (read_channel_ext ic)
-
-let save_ext ~path ?(ambiguous = []) ?(leaders = []) ?(shards = [])
-    ?(prepares = []) ~epochs traces =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      write_channel_ext oc ~ambiguous ~leaders ~shards ~prepares ~epochs traces)
-
-let save ~path traces = save_ext ~path ~epochs:[] traces
+exception Bad_line of string
 
 let load_all ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> read_channel_all ic)
-
-let load_full ~path =
-  Result.map
-    (fun c -> (c.c_traces, c.c_epochs, c.c_ambiguous, c.c_leaders))
-    (load_all ~path)
-
-let load_ext ~path =
-  Result.map (fun (traces, epochs, _amb, _leaders) -> (traces, epochs))
-    (load_full ~path)
-
-let load ~path = Result.map fst (load_ext ~path)
-
-let read_channel_lenient_all ic =
-  let rec go acc skipped lineno =
-    match input_line ic with
-    | exception End_of_file -> (rev_contents acc, List.rev skipped)
-    | line -> (
-      match entry_of_line line with
-      | Ok (Some entry) -> go (add_entry acc entry) skipped (lineno + 1)
-      | Ok None -> go acc skipped (lineno + 1)
-      | Error e -> go acc ((lineno, e) :: skipped) (lineno + 1))
-  in
-  go empty_contents [] 1
-
-let read_channel_lenient_full ic =
-  let c, skipped = read_channel_lenient_all ic in
-  (c.c_traces, c.c_epochs, c.c_ambiguous, c.c_leaders, skipped)
-
-let read_channel_lenient_ext ic =
-  let traces, epochs, _amb, _leaders, skipped = read_channel_lenient_full ic in
-  (traces, epochs, skipped)
-
-let read_channel_lenient ic =
-  let traces, _epochs, skipped = read_channel_lenient_ext ic in
-  (traces, skipped)
+  match
+    read ~path ~bad:(fun lineno e ->
+        raise (Bad_line (Printf.sprintf "line %d: %s" lineno e)))
+  with
+  | contents -> Ok contents
+  | exception Bad_line e -> Error e
 
 let load_lenient_all ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> read_channel_lenient_all ic)
-
-let load_lenient_full ~path =
-  let c, skipped = load_lenient_all ~path in
-  (c.c_traces, c.c_epochs, c.c_ambiguous, c.c_leaders, skipped)
-
-let load_lenient_ext ~path =
-  let traces, epochs, _amb, _leaders, skipped = load_lenient_full ~path in
-  (traces, epochs, skipped)
-
-let load_lenient ~path =
-  let traces, _epochs, skipped = load_lenient_ext ~path in
-  (traces, skipped)
+  let skipped = ref [] in
+  let contents =
+    read ~path ~bad:(fun lineno e -> skipped := (lineno, e) :: !skipped)
+  in
+  (contents, List.rev !skipped)

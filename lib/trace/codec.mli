@@ -76,10 +76,9 @@
     unknowable to the client, and checkers feed these to
     [Checker.mark_coord_ambiguous] before the traces.
 
-    All marker kinds sort chronologically with the traces; readers
-    unaware of them (the plain [load]/[load_lenient], and the [_ext]
-    and [_full] readers for the kinds they predate) skip them without
-    error. *)
+    All marker kinds sort chronologically with the traces.  One writer
+    ({!save_ext}) produces the format and one line loop reads it, behind
+    a strict ({!load_all}) and a lenient ({!load_lenient_all}) reader. *)
 
 val header : string
 (** The recommended first line, ["# leopard-trace v1"]. *)
@@ -155,19 +154,8 @@ val of_line : string -> (Trace.t option, string) result
 (** Decode one line; [Ok None] for comments, blank lines {e and} epoch
     markers (use {!entry_of_line} to observe those). *)
 
-val write_channel : out_channel -> Trace.t list -> unit
-(** Header plus one line per trace. *)
-
-val read_channel : in_channel -> (Trace.t list, string) result
-(** Reads until EOF; errors carry the 1-based line number. *)
-
-val save : path:string -> Trace.t list -> unit
-val load : path:string -> (Trace.t list, string) result
-
-(** {2 Multi-epoch (crash–recovery) variants} *)
-
-val write_channel_ext :
-  out_channel ->
+val save_ext :
+  path:string ->
   ?ambiguous:ambiguous_mark list ->
   ?leaders:leader_mark list ->
   ?shards:shard_mark list ->
@@ -176,7 +164,8 @@ val write_channel_ext :
   Trace.t list ->
   unit
 (** Header, traces, and markers merged at their instants ([traces] must
-    be sorted by [ts_bef], as {!write_channel} assumes). *)
+    be sorted by [ts_bef]).  Raises [Sys_error] if [path] cannot be
+    written. *)
 
 type contents = {
   c_traces : Trace.t list;
@@ -188,79 +177,16 @@ type contents = {
 }
 (** Everything a trace file can carry, each kind in file order. *)
 
-val read_channel_all : in_channel -> (contents, string) result
-(** The full reader: every entry kind observed.  The tuple-returning
-    [_full] readers below predate the shard/prepare markers and skip
-    them. *)
-
 val load_all : path:string -> (contents, string) result
-
-val read_channel_lenient_all : in_channel -> contents * (int * string) list
-(** Lenient variant of {!read_channel_all}: malformed lines are skipped
-    and reported as [(1-based line, diagnostic)]. *)
+(** Every entry of the file; the first malformed line fails the whole
+    load with ["line N: diagnostic"] (1-based).  Raises [Sys_error] if
+    the file cannot be opened. *)
 
 val load_lenient_all : path:string -> contents * (int * string) list
-
-val read_channel_ext :
-  in_channel -> (Trace.t list * epoch_mark list, string) result
-(** Ambiguous-commit and leader markers are skipped (back-compat
-    reader); use {!read_channel_full} to observe them. *)
-
-val read_channel_full :
-  in_channel ->
-  ( Trace.t list * epoch_mark list * ambiguous_mark list * leader_mark list,
-    string )
-  result
-
-val save_ext :
-  path:string ->
-  ?ambiguous:ambiguous_mark list ->
-  ?leaders:leader_mark list ->
-  ?shards:shard_mark list ->
-  ?prepares:prepare_mark list ->
-  epochs:epoch_mark list ->
-  Trace.t list ->
-  unit
-
-val load_ext : path:string -> (Trace.t list * epoch_mark list, string) result
-
-val load_full :
-  path:string ->
-  ( Trace.t list * epoch_mark list * ambiguous_mark list * leader_mark list,
-    string )
-  result
-
-val read_channel_lenient_ext :
-  in_channel -> Trace.t list * epoch_mark list * (int * string) list
-
-val read_channel_lenient_full :
-  in_channel ->
-  Trace.t list
-  * epoch_mark list
-  * ambiguous_mark list
-  * leader_mark list
-  * (int * string) list
-
-val load_lenient_ext :
-  path:string -> Trace.t list * epoch_mark list * (int * string) list
-
-val load_lenient_full :
-  path:string ->
-  Trace.t list
-  * epoch_mark list
-  * ambiguous_mark list
-  * leader_mark list
-  * (int * string) list
-
-val read_channel_lenient : in_channel -> Trace.t list * (int * string) list
-(** Like {!read_channel}, but a malformed line is skipped and reported
-    as [(1-based line number, diagnostic)] instead of discarding the
-    whole stream — truncated or partially corrupted trace files (crashed
-    clients, torn writes) still yield every decodable trace.  Feed the
+(** Like {!load_all}, but a malformed line is skipped and reported as
+    [(1-based line number, diagnostic)] instead of discarding the whole
+    file — truncated or partially corrupted trace files (crashed
+    clients, torn writes) still yield every decodable entry.  Feed the
     skipped count to [Checker.note_lost_traces] so the verdict degrades
     to [Inconclusive] rather than silently "verifying" a partial
     history. *)
-
-val load_lenient : path:string -> Trace.t list * (int * string) list
-(** {!read_channel_lenient} over a file.  Raises [Sys_error] if the file
-    cannot be opened (same as {!load}). *)

@@ -26,6 +26,8 @@ module Runner = Leopard_campaign.Runner
 module O = Leopard_campaign.Orchestrator
 module Shrink = Leopard_campaign.Shrink
 module Checkpoint = Leopard_campaign.Checkpoint
+module Ckpt = Leopard_trace.Ckpt
+module H = Leopard_harness
 module Rng = Leopard_util.Rng
 
 let si = Minidb.Isolation.Snapshot_isolation
@@ -54,8 +56,8 @@ let six_planes =
       "--shards 2 --repl-per-shard 1 --shard-hop-ns 1000";
   ]
 
-let sweep ?(shrink = false) ?checkpoint ?limit ~jobs grid =
-  O.run ~opts:{ O.default_opts with jobs; shrink; checkpoint; limit } grid
+let sweep ?(shrink = false) ?checkpoint ?limit ?(log = ignore) ~jobs grid =
+  O.run ~opts:{ O.default_opts with jobs; shrink; checkpoint; limit; log } grid
 
 let json_of outcome =
   match outcome.O.json with
@@ -292,10 +294,7 @@ let test_checkpoint_damage () =
   done;
   (* a header-level mismatch (foreign fingerprint) is ignored wholesale,
      with a warning *)
-  restore
-    ("leopard-campaign-checkpoint v1 0000000000000000 "
-    ^ string_of_int (G.cell_count grid)
-    ^ "\n");
+  restore "leopard-check-checkpoint v1 0000000000000000\n";
   let o = sweep ~jobs:1 ~checkpoint:path grid in
   Alcotest.(check bool)
     "foreign checkpoint: warning issued" true
@@ -304,6 +303,102 @@ let test_checkpoint_damage () =
   Alcotest.(check string)
     "foreign checkpoint: results DB intact" reference (json_of o);
   Sys.remove path
+
+(* A sweep against [path], with the checkpoint warnings it logged. *)
+let sweep_logged ~path grid =
+  let warnings = ref [] in
+  let log msg =
+    if String.starts_with ~prefix:"checkpoint " msg then
+      warnings := msg :: !warnings
+  in
+  let o = sweep ~jobs:1 ~checkpoint:path ~log grid in
+  (o, List.rev !warnings)
+
+let contains = Helpers.contains
+
+(* --- checkpoint: the campaign's own checks reject framed records ---- *)
+
+(* Every frame below is intact, so only the campaign's index and record
+   checks can reject it: the frames before it stay, the rest re-run. *)
+let test_checkpoint_rejects_records () =
+  let grid = G.make ~campaign_seed:13 ~seeds_per_class:2 six_planes in
+  let full = sweep ~jobs:1 grid in
+  let reference = json_of full in
+  let outcome i = full.O.results.(i).Runner.outcome in
+  let path = Filename.temp_file "leopard_campaign" ".ckpt" in
+  List.iter
+    (fun (what, reason, bad_frame) ->
+      let w = Checkpoint.writer ~path grid in
+      Checkpoint.append w ~index:0 (outcome 0);
+      Checkpoint.append w ~index:1 (outcome 1);
+      bad_frame w;
+      Checkpoint.append w ~index:2 (outcome 2);
+      Ckpt.close w;
+      let o, warnings = sweep_logged ~path grid in
+      Alcotest.(check int) (what ^ ": prefix kept") 2 o.O.resumed;
+      (match warnings with
+      | [ msg ] ->
+        Alcotest.(check bool) (what ^ ": warning names the reason") true
+          (contains msg reason)
+      | _ ->
+        Alcotest.failf "%s: expected one warning, got %d" what
+          (List.length warnings));
+      Alcotest.(check string) (what ^ ": results DB intact") reference
+        (json_of o))
+    [
+      ( "out-of-range index",
+        "outside grid",
+        fun w -> Checkpoint.append w ~index:(G.cell_count grid) (outcome 3) );
+      ( "duplicate index",
+        "duplicate cell 1",
+        fun w -> Checkpoint.append w ~index:1 (outcome 1) );
+      ( "undecodable outcome",
+        "undecodable record for cell 3",
+        fun w -> Ckpt.append w [ "3"; "Z"; "not an outcome" ] );
+    ];
+  Sys.remove path
+
+(* --- checkpoint: the two kinds refuse each other -------------------- *)
+
+let test_checkpoint_kinds_refuse_each_other () =
+  let grid = G.make ~campaign_seed:13 ~seeds_per_class:1 six_planes in
+  let reference = json_of (sweep ~jobs:1 grid) in
+  let il = Leopard.Il_profile.postgresql_si in
+  let run =
+    H.Run.execute
+      (H.Run.config ~clients:4 ~seed:3
+         ~spec:(Leopard_workload.Smallbank.spec ())
+         ~profile:Minidb.Profile.postgresql ~level:si
+         ~stop:(H.Run.Txn_count 300) ())
+  in
+  (* a checker checkpoint handed to the campaign *)
+  let checker_ck = Filename.temp_file "leopard_checker" ".ck" in
+  ignore (H.Session.of_outcome ~gc_watermark:100 ~checkpoint:checker_ck il run);
+  let o, warnings = sweep_logged ~path:checker_ck grid in
+  Alcotest.(check int) "checker checkpoint: nothing resumed" 0 o.O.resumed;
+  Alcotest.(check bool) "checker checkpoint: refused at the header" true
+    (match warnings with
+    | [ msg ] -> contains msg "fingerprint mismatch"
+    | _ -> false);
+  Alcotest.(check string) "checker checkpoint: results DB intact" reference
+    (json_of o);
+  (* a campaign checkpoint handed to a resuming session *)
+  let campaign_ck = Filename.temp_file "leopard_campaign" ".ckpt" in
+  ignore (sweep ~jobs:1 ~checkpoint:campaign_ck grid);
+  let trace = Filename.temp_file "leopard_checker" ".trace" in
+  H.Marks.record ~path:trace run;
+  let v =
+    H.Session.verify ~gc_watermark:100 ~checkpoint:campaign_ck ~resume:true
+      ~file:trace il (H.Marks.of_outcome run)
+      (H.Session.Sorted (H.Run.all_traces_sorted run))
+  in
+  Alcotest.(check bool) "campaign checkpoint: not resumed" true
+    (v.H.Session.resumed_at = None);
+  Alcotest.(check bool) "campaign checkpoint: refused at the header" true
+    (match v.H.Session.warnings with
+    | [ msg ] -> contains msg "fingerprint mismatch"
+    | _ -> false);
+  List.iter Sys.remove [ checker_ck; campaign_ck; trace ]
 
 (* --- shrinker: reproducers replay byte-for-byte, 50 seeds ---------- *)
 
@@ -438,6 +533,10 @@ let suite =
       test_checkpoint_resume;
     Alcotest.test_case "damaged checkpoint degrades, never crashes" `Quick
       test_checkpoint_damage;
+    Alcotest.test_case "checkpoint index checks keep the prefix" `Quick
+      test_checkpoint_rejects_records;
+    Alcotest.test_case "checkpoint kinds refuse each other" `Quick
+      test_checkpoint_kinds_refuse_each_other;
     Alcotest.test_case "parallel sweep parses lines on the main domain"
       `Quick test_parallel_sweep_parses_on_main;
     Alcotest.test_case "orchestrator shrinks unexpected cells" `Quick

@@ -41,9 +41,9 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Codec.save ~path samples;
-      match Codec.load ~path with
-      | Ok traces ->
+      Codec.save_ext ~path ~epochs:[] samples;
+      match Codec.load_all ~path with
+      | Ok { c_traces = traces; _ } ->
         Alcotest.(check int) "count" (List.length samples)
           (List.length traces);
         List.iter2
@@ -61,7 +61,7 @@ let test_error_line_number () =
       let oc = open_out path in
       output_string oc "# header\nC 1 2 3 4\nBROKEN\n";
       close_out oc;
-      match Codec.load ~path with
+      match Codec.load_all ~path with
       | Error e ->
         Alcotest.(check bool) "mentions line 3" true
           (let contains hay needle =
@@ -86,10 +86,10 @@ let test_real_run_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Codec.save ~path traces;
-      match Codec.load ~path with
+      Codec.save_ext ~path ~epochs:[] traces;
+      match Codec.load_all ~path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok loaded ->
+      | Ok { c_traces = loaded; _ } ->
         (* verifying the reloaded history gives the same verdicts *)
         let a = Helpers.check Leopard.Il_profile.postgresql_si traces in
         let b = Helpers.check Leopard.Il_profile.postgresql_si loaded in
@@ -105,8 +105,8 @@ let test_lenient_skips_bad_lines () =
       let oc = open_out path in
       output_string oc "# header\nC 1 2 3 4\nBROKEN\nW 5 6 3 4 0.0.0=1\nC x 8 3 4\n";
       close_out oc;
-      let traces, skipped = Codec.load_lenient ~path in
-      Alcotest.(check int) "decodable traces kept" 2 (List.length traces);
+      let c, skipped = Codec.load_lenient_all ~path in
+      Alcotest.(check int) "decodable traces kept" 2 (List.length c.c_traces);
       Alcotest.(check (list int)) "skipped line numbers" [ 3; 5 ]
         (List.map fst skipped);
       List.iter
@@ -119,15 +119,15 @@ let test_lenient_clean_file_equals_strict () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Codec.save ~path samples;
-      let lenient, skipped = Codec.load_lenient ~path in
+      Codec.save_ext ~path ~epochs:[] samples;
+      let lenient, skipped = Codec.load_lenient_all ~path in
       Alcotest.(check int) "nothing skipped" 0 (List.length skipped);
-      match Codec.load ~path with
+      match Codec.load_all ~path with
       | Error e -> Alcotest.failf "strict load failed: %s" e
       | Ok strict ->
         Alcotest.(check (list string)) "same traces as strict"
-          (List.map Trace.to_string strict)
-          (List.map Trace.to_string lenient))
+          (List.map Trace.to_string strict.c_traces)
+          (List.map Trace.to_string lenient.c_traces))
 
 let test_lenient_truncated_tail () =
   (* a torn final line (crashed writer) must not cost the prefix *)
@@ -142,9 +142,9 @@ let test_lenient_truncated_tail () =
         samples;
       output_string oc "W 110 120 5 1 0.0";
       close_out oc;
-      let traces, skipped = Codec.load_lenient ~path in
+      let c, skipped = Codec.load_lenient_all ~path in
       Alcotest.(check int) "prefix intact" (List.length samples)
-        (List.length traces);
+        (List.length c.c_traces);
       Alcotest.(check int) "torn line reported" 1 (List.length skipped))
 
 let gen_trace =
@@ -359,15 +359,6 @@ let test_sharded_file_roundtrip () =
         Alcotest.(check bool) "prepare marks survive in order" true
           (c.Codec.c_prepares = prepare_marks)
       | Error e -> Alcotest.failf "load_all failed: %s" e);
-      (* the pre-shard readers must skip S and P lines, not choke *)
-      (match Codec.load_full ~path with
-      | Ok (traces, epochs, ambiguous, _leaders) ->
-        Alcotest.(check int) "full reader skips S/P lines"
-          (List.length samples) (List.length traces);
-        Alcotest.(check bool) "full reader keeps epochs" true (epochs = marks);
-        Alcotest.(check bool) "full reader keeps ambiguous" true
-          (ambiguous = amb_marks)
-      | Error e -> Alcotest.failf "load_full failed: %s" e);
       let c, skipped = Codec.load_lenient_all ~path in
       Alcotest.(check bool) "lenient all sees shard marks" true
         (c.Codec.c_shards = shard_marks);
@@ -382,31 +373,22 @@ let test_full_file_roundtrip () =
     (fun () ->
       Codec.save_ext ~path ~ambiguous:amb_marks ~leaders:leader_marks
         ~epochs:marks samples;
-      (match Codec.load_full ~path with
-      | Ok (traces, epochs, ambiguous, leaders) ->
+      (match Codec.load_all ~path with
+      | Ok c ->
         Alcotest.(check int) "traces survive" (List.length samples)
-          (List.length traces);
-        Alcotest.(check bool) "epochs survive" true (epochs = marks);
+          (List.length c.c_traces);
+        Alcotest.(check bool) "epochs survive" true (c.c_epochs = marks);
         Alcotest.(check bool) "ambiguous marks survive in order" true
-          (ambiguous = amb_marks);
+          (c.c_ambiguous = amb_marks);
         Alcotest.(check bool) "leader marks survive in order" true
-          (leaders = leader_marks)
-      | Error e -> Alcotest.failf "load_full failed: %s" e);
-      (* the _ext reader predates U and L markers: it must skip them *)
-      (match Codec.load_ext ~path with
-      | Ok (traces, epochs) ->
-        Alcotest.(check int) "ext reader skips U/L lines"
-          (List.length samples) (List.length traces);
-        Alcotest.(check bool) "ext reader keeps epochs" true (epochs = marks)
-      | Error e -> Alcotest.failf "load_ext failed: %s" e);
-      let _, epochs, ambiguous, leaders, skipped =
-        Codec.load_lenient_full ~path
-      in
-      Alcotest.(check bool) "lenient full sees epochs" true (epochs = marks);
-      Alcotest.(check bool) "lenient full sees ambiguous" true
-        (ambiguous = amb_marks);
-      Alcotest.(check bool) "lenient full sees leaders" true
-        (leaders = leader_marks);
+          (c.c_leaders = leader_marks)
+      | Error e -> Alcotest.failf "load_all failed: %s" e);
+      let c, skipped = Codec.load_lenient_all ~path in
+      Alcotest.(check bool) "lenient sees epochs" true (c.c_epochs = marks);
+      Alcotest.(check bool) "lenient sees ambiguous" true
+        (c.c_ambiguous = amb_marks);
+      Alcotest.(check bool) "lenient sees leaders" true
+        (c.c_leaders = leader_marks);
       Alcotest.(check int) "nothing skipped" 0 (List.length skipped))
 
 let test_ext_file_roundtrip () =
@@ -417,20 +399,15 @@ let test_ext_file_roundtrip () =
       Codec.save_ext ~path ~epochs:marks samples;
       (* markers are merged chronologically: each E line precedes the
          first trace at-or-after its crash instant *)
-      (match Codec.load_ext ~path with
-      | Ok (traces, epochs) ->
+      (match Codec.load_all ~path with
+      | Ok c ->
         Alcotest.(check int) "traces survive" (List.length samples)
-          (List.length traces);
-        Alcotest.(check bool) "epochs survive in order" true (epochs = marks)
-      | Error e -> Alcotest.failf "load_ext failed: %s" e);
-      (* plain load of the same file sees the traces and no error *)
-      (match Codec.load ~path with
-      | Ok traces ->
-        Alcotest.(check int) "plain load ignores markers"
-          (List.length samples) (List.length traces)
-      | Error e -> Alcotest.failf "plain load failed: %s" e);
-      let _, epochs, skipped = Codec.load_lenient_ext ~path in
-      Alcotest.(check bool) "lenient sees epochs too" true (epochs = marks);
+          (List.length c.c_traces);
+        Alcotest.(check bool) "epochs survive in order" true
+          (c.c_epochs = marks)
+      | Error e -> Alcotest.failf "load_all failed: %s" e);
+      let c, skipped = Codec.load_lenient_all ~path in
+      Alcotest.(check bool) "lenient sees epochs too" true (c.c_epochs = marks);
       Alcotest.(check int) "nothing skipped" 0 (List.length skipped))
 
 let suite =

@@ -68,9 +68,9 @@ let repl_stats outcome =
 let check_outcome outcome =
   let checker = Checker.create si in
   List.iter
-    (fun (m : Run.epoch_mark) ->
-      Checker.note_restart checker ~at:m.Run.at ~replayed:m.Run.replayed
-        ~damaged:m.Run.damaged)
+    (fun (m : Codec.epoch_mark) ->
+      Checker.note_restart checker ~at:m.at ~replayed:m.replayed
+        ~damaged:m.damaged)
     outcome.Run.epochs;
   List.iter
     (fun (_client, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)

@@ -425,9 +425,9 @@ let test_cross_plane_channels_separate () =
       (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
       ambiguous;
     List.iter
-      (fun (e : Run.epoch_mark) ->
-        Checker.note_restart checker ~at:e.Run.at ~replayed:e.Run.replayed
-          ~damaged:e.Run.damaged)
+      (fun (e : Codec.epoch_mark) ->
+        Checker.note_restart checker ~at:e.at ~replayed:e.replayed
+          ~damaged:e.damaged)
       o.Run.epochs;
     List.iter (Checker.feed checker) (Run.all_traces_sorted o);
     Checker.finalize checker;

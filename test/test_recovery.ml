@@ -181,7 +181,7 @@ let crash_run ?(spec = Leopard_workload.Smallbank.spec ()) ?(seed = 42)
 let verify_outcome (outcome : Run.outcome) =
   let checker = Checker.create il_si in
   List.iter
-    (fun (e : Run.epoch_mark) ->
+    (fun (e : Leopard_trace.Codec.epoch_mark) ->
       Checker.note_restart checker ~at:e.at ~replayed:e.replayed
         ~damaged:e.damaged)
     outcome.Run.epochs;

@@ -238,9 +238,9 @@ let test_coord_crash_composes_with_wal_plane () =
     seen_epochs := !seen_epochs + outcome.Run.restarts;
     let checker = Checker.create si in
     List.iter
-      (fun (m : Run.epoch_mark) ->
-        Checker.note_restart checker ~at:m.Run.at ~replayed:m.Run.replayed
-          ~damaged:m.Run.damaged)
+      (fun (m : Codec.epoch_mark) ->
+        Checker.note_restart checker ~at:m.at ~replayed:m.replayed
+          ~damaged:m.damaged)
       outcome.Run.epochs;
     List.iter
       (fun (_c, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)

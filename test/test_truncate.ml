@@ -636,21 +636,52 @@ let write_ckpt ~path ~fingerprint frames =
   List.iter (Ckpt.append w) frames;
   Ckpt.close w
 
+(* Every frame the loader accepts, oldest first, and its warning. *)
+let load_frames ~path ~fingerprint =
+  let frames = ref [] in
+  let warning =
+    Ckpt.load ~path ~fingerprint (fun f ->
+        frames := f :: !frames;
+        Ok ())
+  in
+  (List.rev !frames, warning)
+
+(* The newest accepted frame, as a resuming session keeps it. *)
+let load_newest ~path ~fingerprint =
+  let frames, warning = load_frames ~path ~fingerprint in
+  (List.nth_opt (List.rev frames) 0, warning)
+
 let test_ckpt_roundtrip () =
   let path = Filename.temp_file "leopard_ckpt" ".ck" in
   let fp = Ckpt.fingerprint [ "unit"; "roundtrip" ] in
   write_ckpt ~path ~fingerprint:fp frame_payloads;
-  let frame, warning = Ckpt.load ~path ~fingerprint:fp in
+  let frames, warning = load_frames ~path ~fingerprint:fp in
   Alcotest.(check (option string)) "no warning on pristine file" None warning;
-  (match frame with
-  | Some payload ->
-    Alcotest.(check (list string))
-      "last frame round-trips exactly (tabs, newlines, binary)"
-      (List.nth frame_payloads 2) payload
-  | None -> Alcotest.fail "pristine checkpoint must load");
+  Alcotest.(check (list (list string)))
+    "every frame round-trips exactly, oldest first (tabs, newlines, binary)"
+    frame_payloads frames;
+  (* a frame the reader rejects is damage: the scan stops there, the
+     frames before it stay accepted, one warning names the reason *)
+  let accepted = ref 0 in
+  let warning =
+    Ckpt.load ~path ~fingerprint:fp (fun _ ->
+        if !accepted = 1 then Error "rejected by the reader"
+        else begin
+          incr accepted;
+          Ok ()
+        end)
+  in
+  Alcotest.(check int) "frames before the rejection kept" 1 !accepted;
+  Alcotest.(check (option string)) "rejection warns once"
+    (Some
+       (Printf.sprintf
+          "checkpoint %s: frame 1: rejected by the reader; keeping the 1 \
+           frame(s) before it"
+          path))
+    warning;
   (* missing file: silent fresh start *)
   Sys.remove path;
-  let frame, warning = Ckpt.load ~path ~fingerprint:fp in
+  let frame, warning = load_newest ~path ~fingerprint:fp in
   Alcotest.(check bool) "missing file: no frame" true (frame = None);
   Alcotest.(check (option string)) "missing file: silent" None warning
 
@@ -659,7 +690,7 @@ let test_ckpt_foreign_fingerprint () =
   write_ckpt ~path ~fingerprint:(Ckpt.fingerprint [ "run"; "a" ])
     frame_payloads;
   let frame, warning =
-    Ckpt.load ~path ~fingerprint:(Ckpt.fingerprint [ "run"; "b" ])
+    load_newest ~path ~fingerprint:(Ckpt.fingerprint [ "run"; "b" ])
   in
   Alcotest.(check bool) "foreign fingerprint: ignored" true (frame = None);
   Alcotest.(check bool) "foreign fingerprint: warned" true (warning <> None);
@@ -694,21 +725,18 @@ let test_ckpt_damage_ladder () =
   in
   for i = 0 to 17 do
     restore (damage_one i);
-    (* damage may cost frames, never truth: whatever loads is a frame
-       that was actually written, and damaged loads always warn *)
-    let frame, warning = Ckpt.load ~path ~fingerprint:fp in
-    (match frame with
-    | None -> ()
-    | Some payload ->
-      Alcotest.(check bool)
-        (Printf.sprintf "damage %d: loaded frame was actually written" i)
-        true
-        (List.exists (fun f -> f = payload) frame_payloads));
+    (* damage may cost frames, never truth: whatever loads is a prefix
+       of the frames actually written, and damaged loads always warn *)
+    let frames, warning = load_frames ~path ~fingerprint:fp in
+    Alcotest.(check bool)
+      (Printf.sprintf "damage %d: loaded frames were actually written" i)
+      true
+      (List.filteri (fun k _ -> k < List.length frames) frame_payloads
+      = frames);
     let intact =
-      match (frame, warning) with
-      | Some payload, None -> payload = List.nth frame_payloads 2
-      | _, Some _ -> true
-      | None, None -> false
+      match warning with
+      | None -> frames = frame_payloads
+      | Some _ -> true
     in
     Alcotest.(check bool)
       (Printf.sprintf "damage %d: degraded loads warn" i)
@@ -734,7 +762,7 @@ let test_online_truncating_same_verdict () =
   let fp =
     Ckpt.fingerprint [ "online"; il_sr.Il.name; "512"; "300" ]
   in
-  let frame, warning = Ckpt.load ~path ~fingerprint:fp in
+  let frame, warning = load_newest ~path ~fingerprint:fp in
   Alcotest.(check (option string)) "checkpoint pristine" None warning;
   (match frame with
   | Some lines -> (
