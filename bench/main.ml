@@ -15,7 +15,7 @@ module H = Leopard_harness
 module B = Leopard_baselines
 module Table = Leopard_util.Table
 
-let wall () = Leopard_util.Clock.wall ()
+let cpu () = Leopard_util.Clock.cpu ()
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
@@ -35,11 +35,11 @@ let run_workload ?(seed = 42) ?(faults = Minidb.Fault.Set.empty) ?latency_of
 let pipeline_of ?optimized ?batch (outcome : H.Run.outcome) =
   Leopard.Pipeline.of_lists ?optimized ?batch outcome.client_traces
 
-(* Verify a run as the CLI does; returns (report, wall seconds). *)
+(* Verify a run as the CLI does; returns (report, cpu seconds). *)
 let verify ?gc_every il outcome =
-  let t0 = wall () in
+  let t0 = cpu () in
   let r = H.Session.of_outcome ?gc_every il outcome in
-  (r.H.Session.report, wall () -. t0)
+  (r.H.Session.report, cpu () -. t0)
 
 let pg = Minidb.Profile.postgresql
 let sr = Minidb.Isolation.Serializable
@@ -129,12 +129,12 @@ let fig10 () =
           in
           let time_pipeline ~optimized =
             let pipe = pipeline_of ~optimized outcome in
-            let t0 = wall () in
+            let t0 = cpu () in
             let first = Leopard.Pipeline.next pipe in
-            let t_first = wall () -. t0 in
+            let t_first = cpu () -. t0 in
             ignore first;
             let n = 1 + Leopard.Pipeline.drain pipe ~f:(fun _ -> ()) in
-            (n, wall () -. t0, t_first, Leopard.Pipeline.peak_memory pipe)
+            (n, cpu () -. t0, t_first, Leopard.Pipeline.peak_memory pipe)
           in
           let n_opt, t_opt, f_opt, m_opt = time_pipeline ~optimized:true in
           let _, t_wo, _, m_wo = time_pipeline ~optimized:false in
@@ -153,11 +153,11 @@ let fig10 () =
                    outcome.H.Run.client_traces)
               ()
           in
-          let t0 = wall () in
+          let t0 = cpu () in
           let _first = B.Naive_sorter.next naive in
-          let f_naive = wall () -. t0 in
+          let f_naive = cpu () -. t0 in
           ignore (B.Naive_sorter.drain naive ~f:(fun _ -> ()));
-          let t_naive = wall () -. t0 in
+          let t_naive = cpu () -. t0 in
           let m_naive = B.Naive_sorter.peak_memory naive in
           rows :=
             [
@@ -197,24 +197,24 @@ let fig11 () =
   let naive_cap = 4_000 in
   let measure ~txns ~clients ~txn_len =
     let spec = W.Blindw.spec ~txn_len W.Blindw.RW_plus in
-    let t0 = wall () in
+    let t0 = cpu () in
     let outcome =
       run_workload ~seed:13 ~spec ~profile:pg ~level:sr ~clients
         ~stop:(H.Run.Txn_count txns) ()
     in
-    let dbms_wall = wall () -. t0 in
+    let dbms_cpu = cpu () -. t0 in
     let _, t_leopard = verify il_sr outcome in
     let t_naive =
       if txns > naive_cap then None
       else begin
         let cs = B.Cycle_search.create ~search_every:1 il_sr in
-        let t0 = wall () in
+        let t0 = cpu () in
         List.iter (B.Cycle_search.feed cs) (H.Run.all_traces_sorted outcome);
         B.Cycle_search.finalize cs;
-        Some (wall () -. t0)
+        Some (cpu () -. t0)
       end
     in
-    (outcome, dbms_wall, t_leopard, t_naive)
+    (outcome, dbms_cpu, t_leopard, t_naive)
   in
   print_endline "(a) varying transaction scale (24 threads, length 8):";
   Table.print
@@ -273,12 +273,12 @@ let fig11 () =
 let fig12 () =
   section "Fig. 12 — workload throughput vs verification throughput";
   let run_one name spec =
-    let t0 = wall () in
+    let t0 = cpu () in
     let outcome =
       run_workload ~seed:17 ~spec ~profile:pg ~level:sr ~clients:24
         ~stop:(H.Run.Sim_time_ns 300_000_000) ()
     in
-    let sim_wall = wall () -. t0 in
+    let sim_cpu = cpu () -. t0 in
     let report, t_leopard = verify il_sr outcome in
     let finished = outcome.commits + outcome.aborts in
     let dbms_tps =
@@ -291,7 +291,7 @@ let fig12 () =
       Table.fmt_float ~decimals:0 dbms_tps;
       Table.fmt_float ~decimals:0 leopard_tps;
       Printf.sprintf "%.1fx" (leopard_tps /. dbms_tps);
-      fmt_ms sim_wall;
+      fmt_ms sim_cpu;
       Table.fmt_int report.Leopard.Checker.peak_live;
     ]
   in
@@ -315,8 +315,8 @@ let fig12 () =
   Table.print
     ~aligns:Table.[ Left ]
     ~header:
-      [ "workload"; "txns"; "dbms tps (sim)"; "leopard tps (wall)"; "ratio";
-        "sim wall(ms)"; "peak mem" ]
+      [ "workload"; "txns"; "dbms tps (sim)"; "leopard tps (cpu)"; "ratio";
+        "sim cpu(ms)"; "peak mem" ]
     rows;
   print_endline
     "\npaper: Leopard's verification throughput keeps up with (and on\n\
@@ -403,10 +403,10 @@ let fig14 () =
       if txns > cobra_cap then None
       else begin
         let c = B.Cobra.create ~gc () in
-        let t0 = wall () in
+        let t0 = cpu () in
         List.iter (B.Cobra.feed c) traces;
         let r = B.Cobra.finalize c in
-        Some (r, wall () -. t0)
+        Some (r, cpu () -. t0)
       end
     in
     ( t_leopard,
@@ -721,12 +721,12 @@ let online_soak ~clients ~cells ~window ~txns =
             | None -> Leopard.Pipeline.Closed)
           else Leopard.Pipeline.Closed)
   in
-  let t0 = wall () in
+  let t0 = cpu () in
   let r =
     H.Session.verify ~gc_watermark:window il_sr H.Marks.empty
       (H.Session.Pipeline (Leopard.Pipeline.create ~sources ()))
   in
-  (r.H.Session.report, r.H.Session.pipeline_peak, wall () -. t0)
+  (r.H.Session.report, r.H.Session.pipeline_peak, cpu () -. t0)
 
 let online () =
   section
@@ -750,7 +750,7 @@ let online () =
     ~aligns:Table.[ Left ]
     ~header:
       [ "workload"; "traces"; "batches"; "max lag"; "final lag"; "stranded";
-        "verify wall(ms)"; "bugs" ]
+        "verify cpu(ms)"; "bugs" ]
     (List.map
        (fun (name, r) ->
          [
@@ -760,7 +760,7 @@ let online () =
            Table.fmt_int r.H.Online.max_lag;
            Table.fmt_int r.H.Online.final_lag;
            Table.fmt_int r.H.Online.stranded;
-           fmt_ms r.H.Online.verify_wall_s;
+           fmt_ms r.H.Online.verify_cpu_s;
            string_of_int r.H.Online.report.Leopard.Checker.bugs_total;
          ])
        live);
@@ -784,7 +784,7 @@ let online () =
   Table.print
     ~header:
       [ "txns"; "traces"; "peak live"; "pipe peak"; "cuts"; "deps folded";
-        "wall(s)"; "traces/s"; "bugs" ]
+        "cpu(s)"; "traces/s"; "bugs" ]
     (List.map
        (fun (txns, (r : Leopard.Checker.report), pipeline_peak, dt) ->
          [
@@ -826,15 +826,15 @@ let online () =
             (H.Run.config ~clients:8 ~seed:1 ~chaos ~spec:(W.Smallbank.spec ())
                ~profile:pg ~level:sr ~stop:(H.Run.Txn_count txns) ())
         in
-        let t0 = wall () in
+        let t0 = cpu () in
         let r = H.Session.of_outcome ~gc_watermark:lossy_window il_sr outcome in
-        (txns, r.H.Session.report, wall () -. t0))
+        (txns, r.H.Session.report, cpu () -. t0))
       [ 10_000; 40_000 ]
   in
   Table.print
     ~header:
       [ "txns"; "traces"; "peak live"; "cuts"; "deps folded"; "unterminated";
-        "wall(s)"; "bugs" ]
+        "cpu(s)"; "bugs" ]
     (List.map
        (fun (txns, (r : Leopard.Checker.report), dt) ->
          [
@@ -857,10 +857,10 @@ let online () =
           (Printf.sprintf
              "    {\"workload\": \"%s\", \"traces\": %d, \"rounds\": %d, \
               \"max_lag\": %d, \"final_lag\": %d, \"stranded\": %d, \
-              \"verify_wall_s\": %.4f, \"bugs\": %d}%s\n"
+              \"verify_cpu_s\": %.4f, \"bugs\": %d}%s\n"
              name r.H.Online.report.Leopard.Checker.traces r.H.Online.rounds
              r.H.Online.max_lag r.H.Online.final_lag r.H.Online.stranded
-             r.H.Online.verify_wall_s
+             r.H.Online.verify_cpu_s
              r.H.Online.report.Leopard.Checker.bugs_total
              (if i = List.length live - 1 then "" else ",")))
       live;
@@ -882,7 +882,7 @@ let online () =
           (Printf.sprintf
              "      {\"txns\": %d, \"traces\": %d, \"peak_live\": %d, \
               \"pipeline_peak\": %d, \"truncations\": %d, \
-              \"truncated_deps\": %d, \"wall_s\": %.3f, \"traces_per_s\": \
+              \"truncated_deps\": %d, \"cpu_s\": %.3f, \"traces_per_s\": \
               %.0f, \"verdict\": \"%s\", \"bugs\": %d}%s\n"
              txns r.Leopard.Checker.traces r.Leopard.Checker.peak_live
              pipeline_peak r.Leopard.Checker.truncations
@@ -901,7 +901,7 @@ let online () =
           (Printf.sprintf
              "      {\"txns\": %d, \"traces\": %d, \"peak_live\": %d, \
               \"truncations\": %d, \"truncated_deps\": %d, \
-              \"unterminated_txns\": %d, \"wall_s\": %.3f, \"bugs\": %d}%s\n"
+              \"unterminated_txns\": %d, \"cpu_s\": %.3f, \"bugs\": %d}%s\n"
              txns r.Leopard.Checker.traces r.Leopard.Checker.peak_live
              r.Leopard.Checker.truncations r.Leopard.Checker.truncated_deps
              r.Leopard.Checker.degradation.unterminated_txns dt
@@ -976,11 +976,11 @@ let ablation () =
     (List.map
        (fun batch ->
          let pipe = pipeline_of ~batch outcome in
-         let t0 = wall () in
+         let t0 = cpu () in
          ignore (Leopard.Pipeline.drain pipe ~f:(fun _ -> ()));
          [
            Table.fmt_int batch;
-           fmt_ms (wall () -. t0);
+           fmt_ms (cpu () -. t0);
            Table.fmt_int (Leopard.Pipeline.peak_memory pipe);
          ])
        [ 8; 64; 256; 1024 ])
@@ -997,9 +997,9 @@ let recovery () =
       H.Run.config ~clients ~seed:43 ~wal ~spec ~profile:pg ~level:sr
         ~stop:(H.Run.Txn_count txns) ()
     in
-    let t0 = wall () in
+    let t0 = cpu () in
     let o = H.Run.execute cfg in
-    (o, wall () -. t0)
+    (o, cpu () -. t0)
   in
   let ops_per_s (o : H.Run.outcome) t =
     if t <= 0.0 then 0.0
@@ -1016,7 +1016,7 @@ let recovery () =
   print_endline "(a) engine throughput, WAL off vs on (smallbank, 8k txns):";
   Table.print
     ~aligns:Table.[ Left ]
-    ~header:[ "wal"; "txns"; "wall(ms)"; "ops/s"; "records" ]
+    ~header:[ "wal"; "txns"; "cpu(ms)"; "ops/s"; "records" ]
     [
       [
         "off";
@@ -1059,13 +1059,13 @@ let recovery () =
         }
     done;
     let records, damage = Minidb.Wal.crash wal in
-    let t0 = wall () in
+    let t0 = cpu () in
     let _store, summary =
       Minidb.Recovery.replay ~initial:[] ~records
         ~fresh_ts:(fun () -> (n * 100) + 1)
         ~damage
     in
-    let dt = wall () -. t0 in
+    let dt = cpu () -. t0 in
     (summary, dt)
   in
   let replay_sizes = [ 2_000; 10_000; 50_000 ] in
@@ -1112,7 +1112,7 @@ let recovery () =
       (fun i (n, (s : Minidb.Recovery.summary), dt, per_s) ->
         Buffer.add_string buf
           (Printf.sprintf
-             "    {\"records\": %d, \"versions\": %d, \"wall_ms\": %.3f, \
+             "    {\"records\": %d, \"versions\": %d, \"cpu_ms\": %.3f, \
               \"records_per_s\": %.1f}%s\n"
              n s.versions_installed (dt *. 1e3) per_s
              (if i = List.length replay_rows - 1 then "" else ",")))
@@ -1410,7 +1410,7 @@ let campaign_bench () =
   (* A miniature of the full preset grid: one class per fault plane,
      scaled down so the bench leg stays fast.  Byte-identity of the
      serial and parallel results DB is asserted, not just reported.
-     [wall] is Sys.time: CPU time summed across domains, so the two
+     [cpu] is Sys.time: CPU time summed across domains, so the two
      rows compare work done, not elapsed time. *)
   let classes =
     List.filter_map
@@ -1426,9 +1426,9 @@ let campaign_bench () =
   let grid = G.make ~campaign_seed:42 ~seeds_per_class:4 classes in
   let cells = G.cell_count grid in
   let sweep jobs =
-    let t0 = wall () in
+    let t0 = cpu () in
     let o = O.run ~opts:{ O.default_opts with jobs; shrink = false } grid in
-    (o, wall () -. t0)
+    (o, cpu () -. t0)
   in
   ignore (sweep 1) (* warm-up: exclude cold-start noise *);
   let o_serial, t_serial = sweep 1 in
@@ -1466,16 +1466,16 @@ let campaign_bench () =
 
 let lint_bench () =
   let module D = Leopard_analysis.Driver in
-  section "Lint — interprocedural analysis wall, cold vs warm summary cache";
+  section "Lint — interprocedural analysis cpu, cold vs warm summary cache";
   let roots =
     List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "examples" ]
   in
   let cache_file = Filename.temp_file "leopard_lint_bench" ".cache" in
   Sys.remove cache_file (* the cold run must start without a cache *);
   let run () =
-    let t0 = wall () in
-    let s = D.lint_paths ~cache_file ~clock:wall roots in
-    (s, wall () -. t0)
+    let t0 = cpu () in
+    let s = D.lint_paths ~cache_file ~clock:cpu roots in
+    (s, cpu () -. t0)
   in
   let s_cold, t_cold = run () in
   let s_warm, t_warm = run () in
@@ -1494,7 +1494,7 @@ let lint_bench () =
     ~aligns:Table.[ Left ]
     ~header:
       [
-        "run"; "wall(ms)"; "parse"; "syn(D/F/E)"; "extract"; "graph";
+        "run"; "cpu(ms)"; "parse"; "syn(D/F/E)"; "extract"; "graph";
         "race(P1/2)"; "taint(P3)"; "stale(S1)"; "reanalyzed"; "cached";
       ]
     [ row "cold" s_cold t_cold; row "warm" s_warm t_warm ];
@@ -1507,7 +1507,7 @@ let lint_bench () =
     let stage (s : D.summary) t =
       let tm = s.D.timings in
       Printf.sprintf
-        "{ \"wall_ms\": %.3f, \"parse_ms\": %.3f, \"syntactic_ms\": %.3f, \
+        "{ \"cpu_ms\": %.3f, \"parse_ms\": %.3f, \"syntactic_ms\": %.3f, \
          \"extract_ms\": %.3f, \"graph_ms\": %.3f, \"race_ms\": %.3f, \
          \"taint_ms\": %.3f, \"stale_ms\": %.3f, \"reanalyzed\": %d, \
          \"cached\": %d }"
@@ -1583,7 +1583,7 @@ let () =
     | _ :: (_ :: _ as args) -> args
     | _ -> List.map fst experiments
   in
-  let t0 = wall () in
+  let t0 = cpu () in
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
@@ -1593,4 +1593,4 @@ let () =
           (String.concat ", " (List.map fst experiments));
         exit 2)
     requested;
-  Printf.printf "\nall experiments done in %.1f s (cpu)\n" (wall () -. t0)
+  Printf.printf "\nall experiments done in %.1f s (cpu)\n" (cpu () -. t0)

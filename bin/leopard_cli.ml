@@ -85,7 +85,7 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
   let sorted = List.sort Leopard_trace.Trace.compare_by_bef contents.c_traces in
   if infer then print_inference ~dbms sorted;
   let total = List.length sorted in
-  let wall0 = Leopard_util.Clock.wall () in
+  let cpu0 = Leopard_util.Clock.cpu () in
   let verified =
     writing checkpoint (fun () ->
         Leopard_harness.Session.verify ~gc_watermark ?checkpoint ~resume
@@ -94,15 +94,15 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
             if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
           il marks (Leopard_harness.Session.Sorted sorted))
   in
-  let wall = Leopard_util.Clock.wall () -. wall0 in
+  let cpu = Leopard_util.Clock.cpu () -. cpu0 in
   List.iter prerr_endline verified.Leopard_harness.Session.warnings;
   Option.iter
     (fun cursor ->
       Printf.printf "resumed  : trace %d/%d from checkpoint\n" cursor total)
     verified.Leopard_harness.Session.resumed_at;
   let report = verified.Leopard_harness.Session.report in
-  Printf.printf "checked  : %s — %d traces, %d committed txns, %.1f ms wall\n"
-    path report.traces report.committed (wall *. 1e3);
+  Printf.printf "checked  : %s — %d traces, %d committed txns, %.1f ms cpu\n"
+    path report.traces report.committed (cpu *. 1e3);
   if gc_watermark > 0 then print_truncation report;
   let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
   let { Leopard_harness.Marks.epochs; ambiguous; leaders; coord_ambiguous; _ } =
@@ -264,12 +264,12 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
     | None -> ()
   in
   let outcome = Leopard_harness.Run.execute config in
-  let wall0 = Leopard_util.Clock.wall () in
+  let cpu0 = Leopard_util.Clock.cpu () in
   let verified =
     writing checkpoint (fun () ->
         Leopard_harness.Session.of_outcome ~gc_watermark ?checkpoint il outcome)
   in
-  let wall = Leopard_util.Clock.wall () -. wall0 in
+  let cpu = Leopard_util.Clock.cpu () -. cpu0 in
   let report = verified.Leopard_harness.Session.report in
   header outcome;
   if Option.is_some chaos then
@@ -282,8 +282,8 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
       outcome.Leopard_harness.Run.chaos_duplicated
       outcome.Leopard_harness.Run.chaos_delayed;
   Printf.printf
-    "verifier : %d traces, %d reads checked, %d deps deduced, %.1f ms wall\n"
-    report.traces report.reads_checked report.deps_deduced (wall *. 1e3);
+    "verifier : %d traces, %d reads checked, %d deps deduced, %.1f ms cpu\n"
+    report.traces report.reads_checked report.deps_deduced (cpu *. 1e3);
   Printf.printf "memory   : peak %d mirrored entries (pipeline peak %d)\n"
     report.peak_live verified.Leopard_harness.Session.pipeline_peak;
   if gc_watermark > 0 then print_truncation report;

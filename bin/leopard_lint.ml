@@ -107,7 +107,7 @@ let () =
   in
   let summary =
     A.Driver.lint_paths ?zone:!zone ?cache_file
-      ~clock:Leopard_util.Clock.wall paths
+      ~clock:Leopard_util.Clock.cpu paths
   in
   let write_to file text =
     let oc = open_out file in

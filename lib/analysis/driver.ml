@@ -400,7 +400,10 @@ let pp_summary ppf s =
      else Printf.sprintf ", %d parse error(s)" (List.length s.errors))
 
 let json_string_list lst =
-  "[" ^ String.concat "," (List.map (fun m -> "\"" ^ Finding.json_escape m ^ "\"") lst) ^ "]"
+  "["
+  ^ String.concat ","
+      (List.map (fun m -> "\"" ^ Leopard_util.Json.escape m ^ "\"") lst)
+  ^ "]"
 
 let json_summary s =
   let buf = Buffer.create 1024 in
@@ -423,7 +426,7 @@ let json_summary s =
       first := false;
       Buffer.add_string buf
         (Printf.sprintf "{\"file\":\"%s\",\"msg\":\"%s\"}"
-           (Finding.json_escape path) (Finding.json_escape e)))
+           (Leopard_util.Json.escape path) (Leopard_util.Json.escape e)))
     s.errors;
   Buffer.add_string buf
     (Printf.sprintf

@@ -67,7 +67,7 @@ val lint_paths :
     forward dependencies are also unchanged is served from the cache
     without reparsing, and only changed modules plus their reverse
     dependency closure re-run the interprocedural passes.  [clock]
-    (e.g. [Util.Clock.wall]) feeds {!stage_timings}. *)
+    (e.g. [Util.Clock.cpu]) feeds {!stage_timings}. *)
 
 val pp_summary : summary Fmt.t
 (** Human report: one line per finding plus a tail line with totals. *)

@@ -10,26 +10,10 @@ let pp ppf t =
   Fmt.pf ppf "%s:%d:%d: [%s %s] %s" t.file t.line t.col t.rule.Rules.code
     t.rule.Rules.slug t.msg
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"slug\":\"%s\",\"group\":\"%s\",\"msg\":\"%s\"}"
-    (json_escape t.file) t.line t.col t.rule.Rules.code
-    (json_escape t.rule.Rules.slug)
+    (Leopard_util.Json.escape t.file) t.line t.col t.rule.Rules.code
+    (Leopard_util.Json.escape t.rule.Rules.slug)
     (Rules.group_to_string t.rule.Rules.group)
-    (json_escape t.msg)
+    (Leopard_util.Json.escape t.msg)

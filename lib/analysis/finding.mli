@@ -15,5 +15,3 @@ val to_json : t -> string
 (** One JSON object (single line, keys: file, line, col, rule, slug,
     group, msg). *)
 
-val json_escape : string -> string
-(** Minimal JSON string escaping (quotes, backslashes, control chars). *)

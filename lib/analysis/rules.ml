@@ -475,9 +475,9 @@ let check_ident st (loc : Location.t) parts =
   (* In the campaign zone even the sanctioned reporting clock is out:
      a cell's outcome must be a pure function of the cell, or serial
      and parallel sweeps stop being byte-identical. *)
-  | [ "Clock"; "wall" ]
-  | [ "Util"; "Clock"; "wall" ]
-  | [ "Leopard_util"; "Clock"; "wall" ]
+  | [ "Clock"; "cpu" ]
+  | [ "Util"; "Clock"; "cpu" ]
+  | [ "Leopard_util"; "Clock"; "cpu" ]
     when st.zone = Zone.Campaign ->
     report st d002 loc
       "wall-clock read inside a campaign cell body; cell outcomes must be \

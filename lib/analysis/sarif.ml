@@ -7,7 +7,7 @@
    notifications rather than results, mirroring the JSON report's
    separate [errors] array. *)
 
-let esc = Finding.json_escape
+let esc = Leopard_util.Json.escape
 
 let rule_index =
   (* index of a rule code within Rules.all, for [ruleIndex] *)

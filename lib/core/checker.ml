@@ -1391,14 +1391,52 @@ let verdict (r : report) =
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint codec: serialize the full live state (compact after
-   [truncate]) as tagged, tab-separated lines, deterministically — every
+   [truncate]) as one record per line, deterministically — every
    hashtable is dumped in a sorted order, every semantically ordered
    list (chain order, lock-entry order, pending deps, deferred heap,
    reader lists) keeps its exact order, so a decoded checker replays the
-   remaining stream byte-identically to an uninterrupted run.  The
-   surrounding container (framing, checksums, fingerprint) is
-   [Leopard_trace.Ckpt]'s job; here a malformed line is simply an
-   [Error]. *)
+   remaining stream byte-identically to an uninterrupted run.  How a
+   record is spelled is [Leopard_trace.Fields]'s job; the surrounding
+   container (framing, checksums, fingerprint) is [Leopard_trace.Ckpt]'s. *)
+
+module F = Leopard_trace.Fields
+module R = F.Cursor
+
+(* The [s] record: every scalar counter, in this order. *)
+let scalars =
+  [
+    ((fun t -> t.frontier), fun t v -> t.frontier <- v);
+    ((fun t -> t.dedup_ts), fun t v -> t.dedup_ts <- v);
+    ((fun t -> t.traces), fun t v -> t.traces <- v);
+    ((fun t -> t.committed), fun t v -> t.committed <- v);
+    ((fun t -> t.aborted), fun t v -> t.aborted <- v);
+    ((fun t -> t.bugs_total), fun t v -> t.bugs_total <- v);
+    ((fun t -> t.reads_checked), fun t v -> t.reads_checked <- v);
+    ((fun t -> t.peak_live), fun t v -> t.peak_live <- v);
+    ((fun t -> t.pruned_versions), fun t v -> t.pruned_versions <- v);
+    ((fun t -> t.pruned_locks), fun t v -> t.pruned_locks <- v);
+    ((fun t -> t.pruned_fuw), fun t v -> t.pruned_fuw <- v);
+    ((fun t -> t.pruned_graph), fun t v -> t.pruned_graph <- v);
+    ((fun t -> t.dup_dropped), fun t v -> t.dup_dropped <- v);
+    ((fun t -> t.inconclusive_reads), fun t v -> t.inconclusive_reads <- v);
+    ((fun t -> t.ext_crashed_clients), fun t v -> t.ext_crashed_clients <- v);
+    ((fun t -> t.ext_late_dropped), fun t v -> t.ext_late_dropped <- v);
+    ((fun t -> t.ext_lost), fun t v -> t.ext_lost <- v);
+    ((fun t -> t.ext_restarts), fun t v -> t.ext_restarts <- v);
+    ((fun t -> t.ext_recovery_lost), fun t v -> t.ext_recovery_lost <- v);
+    ((fun t -> t.ext_failovers), fun t v -> t.ext_failovers <- v);
+    ((fun t -> t.ext_lost_commits), fun t v -> t.ext_lost_commits <- v);
+    ((fun t -> Bool.to_int t.finalized), fun t v -> t.finalized <- v <> 0);
+    ((fun t -> t.truncations), fun t v -> t.truncations <- v);
+    ((fun t -> t.truncated_deps), fun t v -> t.truncated_deps <- v);
+  ]
+
+let id_sets t =
+  [
+    ("indeterminate", t.indeterminate_ids); ("ambiguous", t.ambiguous_ids);
+    ("resolved", t.resolved_ids); ("lost", t.lost_ids); ("coord", t.coord_ids);
+    ("superseded", t.superseded);
+  ]
 
 let status_code = function
   | Active -> "active"
@@ -1406,612 +1444,284 @@ let status_code = function
   | Aborted -> "aborted"
   | Indeterminate -> "indeterminate"
 
-let status_of_code = function
-  | "active" -> Active
-  | "committed" -> Committed
-  | "aborted" -> Aborted
-  | "indeterminate" -> Indeterminate
-  | s -> failwith ("Checker: unknown status " ^ s)
+let read_status r =
+  R.choice r status_code [ Active; Committed; Aborted; Indeterminate ]
 
-let mechanism_of_string = function
-  | "CR" -> Bug.Cr
-  | "ME" -> Bug.Me
-  | "FUW" -> Bug.Fuw
-  | "SC" -> Bug.Sc
-  | s -> failwith ("Checker: unknown mechanism " ^ s)
+let read_mechanism r =
+  R.choice r Bug.mechanism_to_string Bug.[ Cr; Me; Fuw; Sc ]
 
-let anomaly_of_string s =
-  match List.find_opt (fun a -> String.equal (Anomaly.to_string a) s) Anomaly.all with
-  | Some a -> a
-  | None -> failwith ("Checker: unknown anomaly " ^ s)
+let read_anomaly r = R.choice r Anomaly.to_string Anomaly.all
 
-let iv_fields iv =
-  Printf.sprintf "%d\t%d" (Interval.bef iv) (Interval.aft iv)
+let dep_fields (d : Dep.t) =
+  F.
+    [
+      name (Dep.kind_to_string d.kind); int d.from_txn; int d.to_txn;
+      name (Dep.source_to_string d.source);
+    ]
 
-let opt_iv_fields = function Some iv -> iv_fields iv | None -> "-\t-"
+let read_dep r =
+  let kind = R.choice r Dep.kind_to_string Dep.[ Ww; Wr; Rw ] in
+  let from_txn = R.int r in
+  let to_txn = R.int r in
+  let source = R.choice r Dep.source_to_string Dep.all_sources in
+  { Dep.kind; from_txn; to_txn; source }
 
-let parse_iv b a = Interval.make ~bef:(int_of_string b) ~aft:(int_of_string a)
-
-let parse_opt_iv b a =
-  match (b, a) with "-", "-" -> None | b, a -> Some (parse_iv b a)
+let read_pair r =
+  let a = R.int r in
+  (a, R.int r)
 
 let encode t =
   let buf = ref [] in
-  let line s = buf := s :: !buf in
-  line
-    (Printf.sprintf "h\t%s\t%d\t%b\t%b" t.profile.Il_profile.name t.gc_every
-       t.narrow_candidates t.relaxed_reads);
-  line
-    (String.concat "\t"
-       ("s"
-       :: List.map string_of_int
-            [
-              t.frontier; t.dedup_ts; t.traces; t.committed; t.aborted;
-              t.bugs_total; t.reads_checked; t.peak_live; t.pruned_versions;
-              t.pruned_locks; t.pruned_fuw; t.pruned_graph; t.dup_dropped;
-              t.inconclusive_reads; t.ext_crashed_clients; t.ext_late_dropped;
-              t.ext_lost; t.ext_restarts; t.ext_recovery_lost; t.ext_failovers;
-              t.ext_lost_commits;
-              (if t.finalized then 1 else 0);
-              t.truncations; t.truncated_deps;
-            ]));
-  line
-    ("fs\t"
-    ^ String.concat "\t"
-        (List.map string_of_int (Array.to_list t.forgotten_by_source)));
+  let record tag values = buf := F.record tag values :: !buf in
+  let mirror tag lines = List.iter (fun l -> record tag [ F.name l ]) lines in
+  record "h"
+    F.
+      [
+        name t.profile.Il_profile.name; int t.gc_every;
+        bool t.narrow_candidates; bool t.relaxed_reads;
+      ];
+  record "s" (List.map (fun (get, _) -> F.int (get t)) scalars);
+  record "fs" (List.map F.int (Array.to_list t.forgotten_by_source));
   Hashtbl.fold (fun m n acc -> (m, n) :: acc) t.mech_counts []
   |> List.sort (fun (a, _) (b, _) -> Bug.compare_mechanism a b)
   |> List.iter (fun (m, n) ->
-         line (Printf.sprintf "mc\t%s\t%d" (Bug.mechanism_to_string m) n));
+         record "mc" F.[ name (Bug.mechanism_to_string m); int n ]);
   List.iter
     (fun (b : Bug.t) ->
-      line
-        (Printf.sprintf "b\t%s\t%s\t%s\t%s\t%s\t%s"
-           (Bug.mechanism_to_string b.mechanism)
-           (match b.anomaly with Some a -> Anomaly.to_string a | None -> "-")
-           (String.concat "," (List.map string_of_int b.txns))
-           (match b.cell with
-           | Some (c : Cell.t) ->
-             Printf.sprintf "%d,%d,%d" c.Cell.table c.Cell.row c.Cell.col
-           | None -> "-")
-           (match b.row with
-           | Some (tb, r) -> Printf.sprintf "%d,%d" tb r
-           | None -> "-")
-           (String.escaped b.detail)))
+      record "b"
+        F.
+          [
+            name (Bug.mechanism_to_string b.mechanism);
+            opt (fun a -> [ name (Anomaly.to_string a) ]) b.anomaly;
+            ints b.txns;
+            opt (fun c -> [ cell c ]) b.cell;
+            opt (fun (table, row) -> [ int table; int row ]) b.row;
+            text b.detail;
+          ])
     (List.rev t.bugs);
   Hashtbl.fold (fun _ v acc -> v :: acc) t.txns []
   |> List.sort (fun a b -> Int.compare a.vid b.vid)
   |> List.iter (fun v ->
-         line
-           (Printf.sprintf "x\t%d\t%s\t%s\t%s" v.vid (status_code v.vstatus)
-              (opt_iv_fields v.first_iv)
-              (opt_iv_fields v.terminal_iv));
+         record "x"
+           F.
+             [
+               int v.vid; name (status_code v.vstatus); opt_iv v.first_iv;
+               opt_iv v.terminal_iv;
+             ];
          List.iter
-           (fun (cell : Cell.t) ->
-             match Cell.Tbl.find_opt v.writes cell with
-             | Some (value, iv) ->
-               line
-                 (Printf.sprintf "xw\t%d\t%d\t%d\t%d\t%d\t%s" v.vid
-                    cell.Cell.table cell.Cell.row cell.Cell.col value
-                    (iv_fields iv))
+           (fun c ->
+             match Cell.Tbl.find_opt v.writes c with
+             | Some (value, at) ->
+               record "xw" F.[ int v.vid; cell c; int value; iv at ]
              | None -> ())
            (List.rev v.write_cells);
          List.iter
-           (fun (d : Dep.t) ->
-             line
-               (Printf.sprintf "xd\t%d\t%s\t%d\t%d\t%s" v.vid
-                  (Dep.kind_to_string d.kind)
-                  d.from_txn d.to_txn
-                  (Dep.source_to_string d.source)))
+           (fun d -> record "xd" (F.int v.vid :: dep_fields d))
            v.pending_deps);
   List.iter
     (fun pr ->
-      line
-        (Printf.sprintf "df\t%d\t%s\t%s\t%s" pr.reader (iv_fields pr.read_iv)
-           (iv_fields pr.snapshot_iv)
-           (String.concat ";"
-              (List.map
-                 (fun ((c : Cell.t), v) ->
-                   Printf.sprintf "%d,%d,%d,%d" c.Cell.table c.Cell.row
-                     c.Cell.col v)
-                 pr.items))))
+      record "df"
+        F.
+          [
+            int pr.reader; iv pr.read_iv; iv pr.snapshot_iv;
+            entries (fun (c, value) -> [ cell c; int value ]) pr.items;
+          ])
     (Leopard_util.Min_heap.to_sorted_list t.deferred);
-  Cell.Tbl.fold (fun cell r acc -> (cell, r.order) :: acc) t.initial_readers []
+  Cell.Tbl.fold (fun c r acc -> (c, r.order) :: acc) t.initial_readers []
   |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.iter (fun ((c : Cell.t), readers) ->
-         line
-           (Printf.sprintf "ir\t%d\t%d\t%d\t%s" c.Cell.table c.Cell.row
-              c.Cell.col
-              (String.concat "," (List.map string_of_int readers))));
-  Cell.Tbl.fold (fun cell r acc -> (cell, !r) :: acc) t.aborted_values []
+  |> List.iter (fun (c, readers) -> record "ir" F.[ cell c; ints readers ]);
+  Cell.Tbl.fold (fun c r acc -> (c, !r) :: acc) t.aborted_values []
   |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.iter (fun ((c : Cell.t), entries) ->
-         line
-           (Printf.sprintf "av\t%d\t%d\t%d\t%s" c.Cell.table c.Cell.row
-              c.Cell.col
-              (String.concat ";"
-                 (List.map
-                    (fun (value, txn, aft) ->
-                      Printf.sprintf "%d,%d,%d" value txn aft)
-                    entries))));
-  Cell.Tbl.fold (fun cell r acc -> (cell, !r) :: acc) t.indeterminate_values []
+  |> List.iter (fun (c, values) ->
+         record "av"
+           F.
+             [
+               cell c;
+               entries
+                 (fun (value, txn, aft) -> [ int value; int txn; int aft ])
+                 values;
+             ]);
+  Cell.Tbl.fold (fun c r acc -> (c, !r) :: acc) t.indeterminate_values []
   |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.iter (fun ((c : Cell.t), entries) ->
-         line
-           (Printf.sprintf "nv\t%d\t%d\t%d\t%s" c.Cell.table c.Cell.row
-              c.Cell.col
-              (String.concat ";"
-                 (List.map
-                    (fun (value, txn) -> Printf.sprintf "%d,%d" value txn)
-                    entries))));
-  let id_set name ids =
-    let sorted =
-      Hashtbl.fold (fun id () acc -> id :: acc) ids []
-      |> List.sort Int.compare
-    in
-    line
-      (Printf.sprintf "id\t%s\t%s" name
-         (String.concat "," (List.map string_of_int sorted)))
-  in
-  id_set "indeterminate" t.indeterminate_ids;
-  id_set "ambiguous" t.ambiguous_ids;
-  id_set "resolved" t.resolved_ids;
-  id_set "lost" t.lost_ids;
-  id_set "coord" t.coord_ids;
-  id_set "superseded" t.superseded;
-  line
-    (Printf.sprintf "cl\t%d\t%s" t.pruned_to
-       (Hashtbl.fold (fun client txn acc -> (client, txn) :: acc) t.client_txn []
-       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-       |> List.map (fun (client, txn) -> Printf.sprintf "%d,%d" client txn)
-       |> String.concat ";"));
-  Hashtbl.fold (fun reader entries acc -> (reader, !entries) :: acc) t.awaiting []
+  |> List.iter (fun (c, values) ->
+         record "nv"
+           F.
+             [
+               cell c;
+               entries (fun (value, txn) -> [ int value; int txn ]) values;
+             ]);
+  List.iter
+    (fun (set, ids) ->
+      let sorted =
+        Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort Int.compare
+      in
+      record "id" F.[ name set; ints sorted ])
+    (id_sets t);
+  record "cl"
+    F.
+      [
+        int t.pruned_to;
+        entries
+          (fun (client, txn) -> [ int client; int txn ])
+          (Hashtbl.fold (fun client txn acc -> (client, txn) :: acc)
+             t.client_txn []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b));
+      ];
+  Hashtbl.fold (fun reader parked acc -> (reader, !parked) :: acc) t.awaiting []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (reader, entries) ->
-         line
-           (Printf.sprintf "aw\t%d\t%s" reader
-              (String.concat ";"
-                 (List.map
-                    (fun e ->
-                      Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d,%d"
-                        e.a_cell.Cell.table e.a_cell.Cell.row e.a_cell.Cell.col
-                        e.a_value e.a_writer (Interval.bef e.a_read_iv)
-                        (Interval.aft e.a_read_iv)
-                        (Interval.bef e.a_snapshot_iv)
-                        (Interval.aft e.a_snapshot_iv))
-                    entries))));
+  |> List.iter (fun (reader, parked) ->
+         record "aw"
+           F.
+             [
+               int reader;
+               entries
+                 (fun e ->
+                   [
+                     cell e.a_cell; int e.a_value; int e.a_writer;
+                     iv e.a_read_iv; iv e.a_snapshot_iv;
+                   ])
+                 parked;
+             ]);
   Hashtbl.fold
     (fun _ tr acc -> Leopard_trace.Codec.to_line tr :: acc)
     t.dedup_seen []
   |> List.sort String.compare
-  |> List.iter (fun l -> line ("du\t" ^ l));
-  List.iter (fun l -> line ("vo\t" ^ l)) (Version_order.dump t.versions);
-  List.iter (fun l -> line ("me\t" ^ l)) (Me_verifier.dump t.me);
-  List.iter (fun l -> line ("fw\t" ^ l)) (Fuw_verifier.dump t.fuw);
-  List.iter (fun l -> line ("sc\t" ^ l)) (Sc_verifier.dump t.sc);
-  List.iter
-    (fun (d : Dep.t) ->
-      line
-        (Printf.sprintf "dl\t%s\t%d\t%d\t%s"
-           (Dep.kind_to_string d.kind)
-           d.from_txn d.to_txn
-           (Dep.source_to_string d.source)))
-    (Dep.Log.entries t.log);
+  |> List.iter (fun l -> record "du" [ F.name l ]);
+  mirror "vo" (Version_order.dump t.versions);
+  mirror "me" (Me_verifier.dump t.me);
+  mirror "fw" (Fuw_verifier.dump t.fuw);
+  mirror "sc" (Sc_verifier.dump t.sc);
+  List.iter (fun d -> record "dl" (dep_fields d)) (Dep.Log.entries t.log);
   List.rev !buf
 
-let split_tag line =
-  match String.index_opt line '\t' with
-  | None -> (line, "")
-  | Some i ->
-    (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+let known_txn t vid =
+  match Hashtbl.find_opt t.txns vid with
+  | Some v -> v
+  | None -> failwith "record references unknown transaction"
 
-let parse_cell tb r c =
-  Cell.make ~table:(int_of_string tb) ~row:(int_of_string r)
-    ~col:(int_of_string c)
+(* Apply one record to [t], which starts out as [create] left it; the
+   result is the record's tag. *)
+let load t r =
+  (match R.tag r with
+  | "h" ->
+    let name = R.name r in
+    if not (String.equal name t.profile.Il_profile.name) then
+      failwith
+        (Printf.sprintf "checkpoint was written for profile %s, not %s" name
+           t.profile.Il_profile.name);
+    let gc_every = R.int r in
+    let narrow = R.bool r in
+    if
+      gc_every <> t.gc_every
+      || narrow <> t.narrow_candidates
+      || R.bool r <> t.relaxed_reads
+    then failwith "checkpoint was written under different checker flags"
+  | "s" -> List.iter (fun (_, set) -> set t (R.int r)) scalars
+  | "fs" ->
+    for i = 0 to Array.length t.forgotten_by_source - 1 do
+      t.forgotten_by_source.(i) <- R.int r
+    done
+  | "mc" ->
+    let m = read_mechanism r in
+    Hashtbl.replace t.mech_counts m (R.int r)
+  | "b" ->
+    let mechanism = read_mechanism r in
+    let anomaly = R.opt r read_anomaly in
+    let txns = R.ints r in
+    let cell = R.opt r R.cell in
+    let row = R.opt r read_pair in
+    let bug = { Bug.mechanism; anomaly; txns; cell; row; detail = R.text r } in
+    t.bugs <- bug :: t.bugs
+  | "x" ->
+    let v = vtxn t (R.int r) in
+    v.vstatus <- read_status r;
+    v.first_iv <- R.opt_iv r;
+    v.terminal_iv <- R.opt_iv r
+  | "xw" ->
+    let v = known_txn t (R.int r) in
+    let cell = R.cell r in
+    let value = R.int r in
+    if not (Cell.Tbl.mem v.writes cell) then
+      v.write_cells <- cell :: v.write_cells;
+    Cell.Tbl.replace v.writes cell (value, R.iv r)
+  | "xd" ->
+    let v = known_txn t (R.int r) in
+    v.pending_deps <- read_dep r :: v.pending_deps
+  | "df" ->
+    let reader = R.int r in
+    let read_iv = R.iv r in
+    let snapshot_iv = R.iv r in
+    let items =
+      R.entries r (fun r ->
+          let cell = R.cell r in
+          (cell, R.int r))
+    in
+    Leopard_util.Min_heap.push t.deferred
+      { reader; read_iv; snapshot_iv; items }
+  | "ir" ->
+    let cell = R.cell r in
+    Cell.Tbl.replace t.initial_readers cell (initial_readers_of (R.ints r))
+  | "av" ->
+    let cell = R.cell r in
+    let entry r =
+      let value = R.int r in
+      let txn = R.int r in
+      (value, txn, R.int r)
+    in
+    Cell.Tbl.replace t.aborted_values cell (ref (R.entries r entry))
+  | "nv" ->
+    let cell = R.cell r in
+    Cell.Tbl.replace t.indeterminate_values cell (ref (R.entries r read_pair))
+  | "id" -> (
+    match List.assoc_opt (R.name r) (id_sets t) with
+    | Some set -> List.iter (fun id -> Hashtbl.replace set id ()) (R.ints r)
+    | None -> R.fail r)
+  | "cl" ->
+    t.pruned_to <- R.int r;
+    List.iter
+      (fun (client, txn) -> Hashtbl.replace t.client_txn client txn)
+      (R.entries r read_pair)
+  | "aw" ->
+    let reader = R.int r in
+    let entry r =
+      let a_cell = R.cell r in
+      let a_value = R.int r in
+      let a_writer = R.int r in
+      let a_read_iv = R.iv r in
+      { a_cell; a_value; a_writer; a_read_iv; a_snapshot_iv = R.iv r }
+    in
+    Hashtbl.replace t.awaiting reader (ref (R.entries r entry))
+  | "du" -> (
+    match Leopard_trace.Codec.of_line (R.name r) with
+    | Ok (Some tr) ->
+      Hashtbl.replace t.dedup_seen (tr.client, tr.txn, tr.ts_bef) tr
+    | Ok None | Error _ -> R.fail r)
+  | "vo" -> Version_order.load t.versions r
+  | "me" -> Me_verifier.load t.me r
+  | "fw" -> Fuw_verifier.load t.fuw r
+  | "sc" -> Sc_verifier.load t.sc r
+  | "dl" -> ignore (Dep.Log.add t.log (read_dep r))
+  | tag -> failwith ("unknown record tag " ^ tag));
+  R.tag r
 
-let decode ?(gc_every = 512) ?(narrow_candidates = true)
-    ?(relaxed_reads = false) (profile : Il_profile.t) lines =
-  try
-    let header = ref None and scalars = ref None and forgotten = ref None in
-    let clients = ref None in
-    let mech = ref [] and bugs = ref [] in
-    let txn_lines = ref [] and write_lines = ref [] and dep_lines = ref [] in
-    let deferred_lines = ref [] and ir_lines = ref [] in
-    let av_lines = ref [] and nv_lines = ref [] in
-    let id_lines = ref [] and aw_lines = ref [] and du_lines = ref [] in
-    let vo_lines = ref [] and me_lines = ref [] in
-    let fw_lines = ref [] and sc_lines = ref [] and dl_lines = ref [] in
+let decode ?gc_every ?narrow_candidates ?relaxed_reads profile lines =
+  let t = create ?gc_every ?narrow_candidates ?relaxed_reads profile in
+  let missing = ref [ "h"; "s"; "fs" ] in
+  match
     List.iter
       (fun line ->
-        let tag, rest = split_tag line in
-        let push r = r := rest :: !r in
-        match tag with
-        | "h" -> header := Some rest
-        | "s" -> scalars := Some rest
-        | "fs" -> forgotten := Some rest
-        | "cl" -> clients := Some rest
-        | "mc" -> push mech
-        | "b" -> push bugs
-        | "x" -> push txn_lines
-        | "xw" -> push write_lines
-        | "xd" -> push dep_lines
-        | "df" -> push deferred_lines
-        | "ir" -> push ir_lines
-        | "av" -> push av_lines
-        | "nv" -> push nv_lines
-        | "id" -> push id_lines
-        | "aw" -> push aw_lines
-        | "du" -> push du_lines
-        | "vo" -> push vo_lines
-        | "me" -> push me_lines
-        | "fw" -> push fw_lines
-        | "sc" -> push sc_lines
-        | "dl" -> push dl_lines
-        | tag -> failwith ("Checker.decode: unknown record tag " ^ tag))
+        let tag = R.read line (load t) in
+        missing := List.filter (fun m -> not (String.equal m tag)) !missing)
       lines;
-    let in_order r = List.rev !r in
-    (match !header with
-    | None -> failwith "Checker.decode: missing header record"
-    | Some h -> (
-      match String.split_on_char '\t' h with
-      | [ name; ck_gc; ck_narrow; ck_relaxed ] ->
-        if not (String.equal name profile.Il_profile.name) then
-          failwith
-            (Printf.sprintf
-               "Checker.decode: checkpoint was written for profile %s, not %s"
-               name profile.Il_profile.name);
-        if
-          int_of_string ck_gc <> gc_every
-          || bool_of_string ck_narrow <> narrow_candidates
-          || bool_of_string ck_relaxed <> relaxed_reads
-        then
-          failwith
-            "Checker.decode: checkpoint was written under different checker \
-             flags"
-      | _ -> failwith "Checker.decode: malformed header record"));
-    let txns = Hashtbl.create 4096 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ vid; status; fb; fa; tb; ta ] ->
-          let vid = int_of_string vid in
-          Hashtbl.replace txns vid
-            {
-              vid;
-              first_iv = parse_opt_iv fb fa;
-              terminal_iv = parse_opt_iv tb ta;
-              vstatus = status_of_code status;
-              writes = Cell.Tbl.create 8;
-              write_cells = [];
-              pending_deps = [];
-            }
-        | _ -> failwith "Checker.decode: malformed transaction record")
-      (in_order txn_lines);
-    let find_txn vid =
-      match Hashtbl.find_opt txns (int_of_string vid) with
-      | Some v -> v
-      | None -> failwith "Checker.decode: record references unknown transaction"
-    in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ vid; tb; r; c; value; ib; ia ] ->
-          let v = find_txn vid in
-          let cell = parse_cell tb r c in
-          if not (Cell.Tbl.mem v.writes cell) then
-            v.write_cells <- cell :: v.write_cells;
-          Cell.Tbl.replace v.writes cell (int_of_string value, parse_iv ib ia)
-        | _ -> failwith "Checker.decode: malformed write record")
-      (in_order write_lines);
-    let pending = Hashtbl.create 16 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ vid; kind; from_txn; to_txn; source ] ->
-          let v = find_txn vid in
-          let d =
-            {
-              Dep.kind = Dep.kind_of_string kind;
-              from_txn = int_of_string from_txn;
-              to_txn = int_of_string to_txn;
-              source = Dep.source_of_string source;
-            }
-          in
-          let r =
-            match Hashtbl.find_opt pending v.vid with
-            | Some r -> r
-            | None ->
-              let r = ref [] in
-              Hashtbl.replace pending v.vid r;
-              r
-          in
-          r := d :: !r
-        | _ -> failwith "Checker.decode: malformed pending-dep record")
-      (in_order dep_lines);
-    (* lint: allow hashtbl-order — each binding updates its own txn *)
-    Hashtbl.iter
-      (fun vid deps ->
-        match Hashtbl.find_opt txns vid with
-        | Some v -> v.pending_deps <- List.rev !deps
-        | None -> ())
-      pending;
-    let deferred =
-      Leopard_util.Min_heap.create ~compare:(fun a b ->
-          Int.compare (Interval.aft a.read_iv) (Interval.aft b.read_iv))
-    in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ reader; rb; ra; sb; sa; items ] ->
-          let items =
-            if items = "" then []
-            else
-              List.map
-                (fun part ->
-                  match String.split_on_char ',' part with
-                  | [ tb; r; c; value ] ->
-                    (parse_cell tb r c, int_of_string value)
-                  | _ -> failwith "Checker.decode: malformed read item")
-                (String.split_on_char ';' items)
-          in
-          Leopard_util.Min_heap.push deferred
-            {
-              reader = int_of_string reader;
-              read_iv = parse_iv rb ra;
-              snapshot_iv = parse_iv sb sa;
-              items;
-            }
-        | _ -> failwith "Checker.decode: malformed deferred-read record")
-      (in_order deferred_lines);
-    let cell_list_table lines parse_entry =
-      let table = Cell.Tbl.create 64 in
-      List.iter
-        (fun rest ->
-          match String.split_on_char '\t' rest with
-          | [ tb; r; c; entries ] ->
-            let entries =
-              if entries = "" then []
-              else List.map parse_entry (String.split_on_char ';' entries)
-            in
-            Cell.Tbl.replace table (parse_cell tb r c) (ref entries)
-          | _ -> failwith "Checker.decode: malformed per-cell record")
-        lines;
-      table
-    in
-    (* reader lists are comma-separated ints, not ';' entries *)
-    let initial_readers = Cell.Tbl.create 64 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ tb; r; c; readers ] ->
-          let readers =
-            if readers = "" then []
-            else List.map int_of_string (String.split_on_char ',' readers)
-          in
-          Cell.Tbl.replace initial_readers (parse_cell tb r c)
-            (initial_readers_of readers)
-        | _ -> failwith "Checker.decode: malformed initial-reader record")
-      (in_order ir_lines);
-    let aborted_values =
-      cell_list_table (in_order av_lines) (fun part ->
-          match String.split_on_char ',' part with
-          | [ value; txn; aft ] ->
-            (int_of_string value, int_of_string txn, int_of_string aft)
-          | _ -> failwith "Checker.decode: malformed aborted-value entry")
-    in
-    let indeterminate_values =
-      cell_list_table (in_order nv_lines) (fun part ->
-          match String.split_on_char ',' part with
-          | [ value; txn ] -> (int_of_string value, int_of_string txn)
-          | _ -> failwith "Checker.decode: malformed indeterminate-value entry")
-    in
-    let sets = Hashtbl.create 8 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ name; ids ] ->
-          let table = Hashtbl.create 8 in
-          if ids <> "" then
-            List.iter
-              (fun id -> Hashtbl.replace table (int_of_string id) ())
-              (String.split_on_char ',' ids);
-          Hashtbl.replace sets name table
-        | _ -> failwith "Checker.decode: malformed id-set record")
-      (in_order id_lines);
-    let id_set name =
-      match Hashtbl.find_opt sets name with
-      | Some table -> table
-      | None -> Hashtbl.create 8
-    in
-    (* A snapshot from before superseding existed has no client record:
-       nothing is superseded, and none of its prunes passed an active
-       transaction, so [min_int] is the exact prune bound. *)
-    let client_txn = Hashtbl.create 16 in
-    let pruned_to =
-      match !clients with
-      | None -> min_int
-      | Some rest -> (
-        match String.split_on_char '\t' rest with
-        | [ bound; pairs ] ->
-          if pairs <> "" then
-            List.iter
-              (fun part ->
-                match String.split_on_char ',' part with
-                | [ client; txn ] ->
-                  Hashtbl.replace client_txn (int_of_string client)
-                    (int_of_string txn)
-                | _ -> failwith "Checker.decode: malformed client entry")
-              (String.split_on_char ';' pairs);
-          int_of_string bound
-        | _ -> failwith "Checker.decode: malformed client record")
-    in
-    let awaiting = Hashtbl.create 8 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ reader; entries ] ->
-          let entries =
-            if entries = "" then []
-            else
-              List.map
-                (fun part ->
-                  match String.split_on_char ',' part with
-                  | [ tb; r; c; value; writer; rb; ra; sb; sa ] ->
-                    {
-                      a_cell = parse_cell tb r c;
-                      a_value = int_of_string value;
-                      a_writer = int_of_string writer;
-                      a_read_iv = parse_iv rb ra;
-                      a_snapshot_iv = parse_iv sb sa;
-                    }
-                  | _ -> failwith "Checker.decode: malformed awaiting entry")
-                (String.split_on_char ';' entries)
-          in
-          Hashtbl.replace awaiting (int_of_string reader) (ref entries)
-        | _ -> failwith "Checker.decode: malformed awaiting record")
-      (in_order aw_lines);
-    let dedup_seen = Hashtbl.create 64 in
-    List.iter
-      (fun rest ->
-        match Leopard_trace.Codec.of_line rest with
-        | Ok (Some tr) ->
-          Hashtbl.replace dedup_seen
-            (tr.Trace.client, tr.Trace.txn, tr.Trace.ts_bef)
-            tr
-        | Ok None -> failwith "Checker.decode: dedup record is a marker line"
-        | Error e -> failwith ("Checker.decode: " ^ e))
-      (in_order du_lines);
-    let log = Dep.Log.create () in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ kind; from_txn; to_txn; source ] ->
-          ignore
-            (Dep.Log.add log
-               {
-                 Dep.kind = Dep.kind_of_string kind;
-                 from_txn = int_of_string from_txn;
-                 to_txn = int_of_string to_txn;
-                 source = Dep.source_of_string source;
-               })
-        | _ -> failwith "Checker.decode: malformed dep-log record")
-      (in_order dl_lines);
-    let mech_counts = Hashtbl.create 4 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ m; n ] ->
-          Hashtbl.replace mech_counts (mechanism_of_string m) (int_of_string n)
-        | _ -> failwith "Checker.decode: malformed mechanism-count record")
-      (in_order mech);
-    let bugs_list =
-      List.map
-        (fun rest ->
-          match String.split_on_char '\t' rest with
-          | [ m; anomaly; txns; cell; row; detail ] ->
-            {
-              Bug.mechanism = mechanism_of_string m;
-              anomaly =
-                (if anomaly = "-" then None else Some (anomaly_of_string anomaly));
-              txns =
-                (if txns = "" then []
-                 else List.map int_of_string (String.split_on_char ',' txns));
-              cell =
-                (if cell = "-" then None
-                 else
-                   match String.split_on_char ',' cell with
-                   | [ tb; r; c ] -> Some (parse_cell tb r c)
-                   | _ -> failwith "Checker.decode: malformed bug cell");
-              row =
-                (if row = "-" then None
-                 else
-                   match String.split_on_char ',' row with
-                   | [ tb; r ] -> Some (int_of_string tb, int_of_string r)
-                   | _ -> failwith "Checker.decode: malformed bug row");
-              detail = Scanf.unescaped detail;
-            }
-          | _ -> failwith "Checker.decode: malformed bug record")
-        (in_order bugs)
-    in
-    let forgotten_by_source =
-      match !forgotten with
-      | None -> failwith "Checker.decode: missing truncation-tally record"
-      | Some rest ->
-        let fields = String.split_on_char '\t' rest in
-        if List.length fields <> List.length Dep.all_sources then
-          failwith "Checker.decode: malformed truncation-tally record";
-        Array.of_list (List.map int_of_string fields)
-    in
-    match !scalars with
-    | None -> failwith "Checker.decode: missing scalar record"
-    | Some rest -> (
-      match List.map int_of_string (String.split_on_char '\t' rest) with
-      | [
-       frontier; dedup_ts; traces; committed; aborted; bugs_total;
-       reads_checked; peak_live; pruned_versions; pruned_locks; pruned_fuw;
-       pruned_graph; dup_dropped; inconclusive_reads; ext_crashed_clients;
-       ext_late_dropped; ext_lost; ext_restarts; ext_recovery_lost;
-       ext_failovers; ext_lost_commits; finalized; truncations; truncated_deps;
-      ] ->
-        Ok
-          {
-            profile;
-            gc_every;
-            narrow_candidates;
-            relaxed_reads;
-            versions = Version_order.restore (in_order vo_lines);
-            me = Me_verifier.restore (in_order me_lines);
-            fuw = Fuw_verifier.restore (in_order fw_lines);
-            sc =
-              Sc_verifier.restore profile.Il_profile.check_sc
-                (in_order sc_lines);
-            log;
-            txns;
-            deferred;
-            initial_readers;
-            aborted_values;
-            indeterminate_ids = id_set "indeterminate";
-            indeterminate_values;
-            ambiguous_ids = id_set "ambiguous";
-            resolved_ids = id_set "resolved";
-            lost_ids = id_set "lost";
-            coord_ids = id_set "coord";
-            awaiting;
-            dedup_seen;
-            dedup_ts;
-            client_txn;
-            superseded = id_set "superseded";
-            pruned_to;
-            frontier;
-            traces;
-            committed;
-            aborted;
-            bugs_total;
-            bugs = List.rev bugs_list;
-            reads_checked;
-            peak_live;
-            pruned_versions;
-            pruned_locks;
-            pruned_fuw;
-            pruned_graph;
-            dup_dropped;
-            inconclusive_reads;
-            ext_crashed_clients;
-            ext_late_dropped;
-            ext_lost;
-            ext_restarts;
-            ext_recovery_lost;
-            ext_failovers;
-            ext_lost_commits;
-            finalized = finalized <> 0;
-            dep_hook = None;
-            mech_counts;
-            truncations;
-            truncated_deps;
-            forgotten_by_source;
-          }
-      | _ -> failwith "Checker.decode: malformed scalar record")
+    (* lint: allow hashtbl-order — each list is reversed in place *)
+    Hashtbl.iter (fun _ v -> v.pending_deps <- List.rev v.pending_deps) t.txns;
+    Version_order.seal t.versions;
+    Me_verifier.seal t.me;
+    Fuw_verifier.seal t.fuw;
+    Sc_verifier.seal t.sc
   with
-  | Failure msg -> Error msg
-  | Invalid_argument msg -> Error msg
-  | Scanf.Scan_failure msg -> Error msg
+  | () -> (
+    match !missing with
+    | [] -> Ok t
+    | tag :: _ -> Error (Printf.sprintf "missing %s record" tag))
+  | exception (Failure msg | Invalid_argument msg) -> Error msg

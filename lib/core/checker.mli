@@ -278,7 +278,9 @@ val set_dep_hook : t -> (Dep.t -> unit) -> unit
     baseline to obtain the same dependencies Leopard deduces). *)
 
 val encode : t -> string list
-(** Serialize the full live state as tagged, tab-separated lines —
+(** Serialize the full live state as one {!Leopard_trace.Fields} record
+    per line, tagged with its kind ([h] header, [s] scalars, [x]
+    transactions, [vo]/[me]/[fw]/[sc] mirror entries, ...) —
     deterministic (hashtables are dumped sorted; semantically ordered
     lists keep their exact order), so feeding the same remaining stream
     to a decoded checker reproduces an uninterrupted run's report
@@ -292,8 +294,9 @@ val decode :
   Il_profile.t ->
   string list ->
   (t, string) result
-(** Rebuild a checker from {!encode} output.  The profile and flags
-    must match the ones the checkpoint was written under ([Error]
+(** Rebuild a checker from {!encode} output, in one pass: each record,
+    in order, fills a checker fresh from {!create}.  The profile and
+    flags must match the ones the checkpoint was written under ([Error]
     otherwise — resuming under different rules would silently change
-    the verdict); any malformed record is an [Error], never a partially
-    restored checker. *)
+    the verdict); a malformed record is [Error "malformed TAG"], never a
+    partially restored checker. *)

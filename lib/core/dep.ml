@@ -2,12 +2,6 @@ type kind = Ww | Wr | Rw
 
 let kind_to_string = function Ww -> "ww" | Wr -> "wr" | Rw -> "rw"
 
-let kind_of_string = function
-  | "ww" -> Ww
-  | "wr" -> Wr
-  | "rw" -> Rw
-  | s -> failwith ("Dep.kind_of_string: " ^ s)
-
 type source =
   | Direct
   | From_cr
@@ -26,11 +20,6 @@ let source_to_string = function
 
 let all_sources =
   [ Direct; From_cr; From_me; From_fuw; From_version_order; Derived_rw ]
-
-let source_of_string s =
-  match List.find_opt (fun src -> String.equal (source_to_string src) s) all_sources with
-  | Some src -> src
-  | None -> failwith ("Dep.source_of_string: " ^ s)
 
 (* declaration order; pins the report ordering of [Log.by_source] *)
 let source_rank = function

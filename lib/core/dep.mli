@@ -12,9 +12,6 @@ type kind = Ww | Wr | Rw
 
 val kind_to_string : kind -> string
 
-val kind_of_string : string -> kind
-(** Inverse of {!kind_to_string}; raises [Failure] on unknown input. *)
-
 type source =
   | Direct  (** non-overlapping intervals: Fig. 3(a) *)
   | From_cr  (** unique candidate match (§V-A) *)
@@ -24,9 +21,6 @@ type source =
   | Derived_rw  (** wr + version order (Fig. 9) *)
 
 val source_to_string : source -> string
-
-val source_of_string : string -> source
-(** Inverse of {!source_to_string}; raises [Failure] on unknown input. *)
 
 val all_sources : source list
 (** Every source, in declaration (report) order. *)

@@ -1,4 +1,6 @@
 module Interval = Leopard_util.Interval
+module Fields = Leopard_trace.Fields
+module R = Fields.Cursor
 
 type entry = {
   ftxn : int;
@@ -24,15 +26,16 @@ type t = {
 
 let create () = { rows = Hashtbl.create 1024; live = 0 }
 
+let row_entries t row =
+  match Hashtbl.find_opt t.rows row with
+  | Some r -> r
+  | None ->
+    let r = ref [] in
+    Hashtbl.replace t.rows row r;
+    r
+
 let register t ~row entry ~on_pair =
-  let entries =
-    match Hashtbl.find_opt t.rows row with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace t.rows row r;
-      r
-  in
+  let entries = row_entries t row in
   List.iter
     (fun other ->
       if other.ftxn <> entry.ftxn then
@@ -61,45 +64,31 @@ let dump t =
   |> List.concat_map (fun ((table, row), entries) ->
          List.map
            (fun e ->
-             Printf.sprintf "%d\t%d\t%d\t%d\t%d\t%d\t%d" table row e.ftxn
-               (Interval.bef e.snapshot_iv) (Interval.aft e.snapshot_iv)
-               (Interval.bef e.commit_iv) (Interval.aft e.commit_iv))
+             Fields.(
+               line
+                 [
+                   int table; int row; int e.ftxn; iv e.snapshot_iv;
+                   iv e.commit_iv;
+                 ]))
            entries)
+
+let load t r =
+  let table = R.int r in
+  let row = R.int r in
+  let ftxn = R.int r in
+  let snapshot_iv = R.iv r in
+  let e = { ftxn; snapshot_iv; commit_iv = R.iv r } in
+  let entries = row_entries t (table, row) in
+  entries := e :: !entries;
+  t.live <- t.live + 1
+
+(* lint: allow hashtbl-order — each row is reversed in place *)
+let seal t = Hashtbl.iter (fun _ entries -> entries := List.rev !entries) t.rows
 
 let restore lines =
   let t = create () in
-  let tails = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ table; row; ftxn; sb; sa; cb; ca ] ->
-        let row = (int_of_string table, int_of_string row) in
-        let e =
-          {
-            ftxn = int_of_string ftxn;
-            snapshot_iv =
-              Interval.make ~bef:(int_of_string sb) ~aft:(int_of_string sa);
-            commit_iv =
-              Interval.make ~bef:(int_of_string cb) ~aft:(int_of_string ca);
-          }
-        in
-        let r =
-          match Hashtbl.find_opt tails row with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.replace tails row r;
-            r
-        in
-        r := e :: !r;
-        t.live <- t.live + 1
-      | _ -> failwith "Fuw_verifier.restore: malformed line")
-    lines;
-  (* lint: allow hashtbl-order — each binding becomes its own row list;
-     the rows table is only consulted per key *)
-  Hashtbl.iter
-    (fun row r -> Hashtbl.replace t.rows row (ref (List.rev !r)))
-    tails;
+  List.iter (fun line -> R.read ~tag:"Fuw_verifier" line (load t)) lines;
+  seal t;
   t
 
 let prune t ~horizon =

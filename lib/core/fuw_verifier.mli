@@ -51,12 +51,20 @@ val referenced_txns : t -> int list
     FUW contribution to the truncation retained-set. *)
 
 val dump : t -> string list
-(** Serialize the registry, row-major sorted, preserving per-row entry
-    order (it pins pair-evaluation order).  Inverse of {!restore}. *)
+(** Serialize the registry as {!Leopard_trace.Fields} lines, row-major
+    sorted, preserving per-row entry order (it pins pair-evaluation
+    order).  Inverse of {!restore}. *)
 
 val restore : string list -> t
 (** Rebuild a registry from {!dump} output.  Raises [Failure] on a
     malformed line. *)
+
+val load : t -> Leopard_trace.Fields.Cursor.t -> unit
+(** Add one {!dump} line's entry to its row: how {!restore} and the
+    checker's decoder fill a registry, then call {!seal}. *)
+
+val seal : t -> unit
+(** Put every row back in {!dump} order once all lines are loaded. *)
 
 val prune : t -> horizon:int -> int
 (** Drop entries whose commit after-timestamp is [<= horizon]: any future

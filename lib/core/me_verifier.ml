@@ -1,4 +1,6 @@
 module Interval = Leopard_util.Interval
+module Fields = Leopard_trace.Fields
+module R = Fields.Cursor
 
 type mode = S | X
 
@@ -133,84 +135,52 @@ let dump t =
     |> List.concat_map (fun ((table, row), entries) ->
            List.map
              (fun e ->
-               let rb, ra =
-                 match e.release_iv with
-                 | Some r ->
-                   (string_of_int (Interval.bef r), string_of_int (Interval.aft r))
-                 | None -> ("-", "-")
-               in
-               Printf.sprintf "e\t%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s" table row
-                 e.etxn
-                 (match e.mode with S -> "S" | X -> "X")
-                 (Interval.bef e.acquire_iv) (Interval.aft e.acquire_iv) rb ra)
+               Fields.(
+                 record "e"
+                   [
+                     int table; int row; int e.etxn;
+                     name (match e.mode with S -> "S" | X -> "X");
+                     iv e.acquire_iv; opt_iv e.release_iv;
+                   ]))
              entries)
   in
   let txn_lines =
     Hashtbl.fold (fun txn rows acc -> (txn, rows) :: acc) t.by_txn []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map (fun (txn, rows) ->
-           Printf.sprintf "t\t%d\t%s" txn
-             (String.concat ";"
-                (List.map (fun (tb, r) -> Printf.sprintf "%d,%d" tb r) rows)))
+           Fields.(
+             record "t"
+               [ int txn; entries (fun (tb, r) -> [ int tb; int r ]) rows ]))
   in
   entry_lines @ txn_lines
 
+let load t r =
+  match R.name r with
+  | "e" ->
+    let table = R.int r in
+    let row = R.int r in
+    let etxn = R.int r in
+    let mode = match R.name r with "S" -> S | "X" -> X | _ -> R.fail r in
+    let acquire_iv = R.iv r in
+    let e = { etxn; mode; acquire_iv; release_iv = R.opt_iv r } in
+    let entries = row_entries t (table, row) in
+    entries := e :: !entries;
+    t.live <- t.live + 1
+  | "t" ->
+    let txn = R.int r in
+    Hashtbl.replace t.by_txn txn
+      (R.entries r (fun r ->
+           let table = R.int r in
+           (table, R.int r)))
+  | _ -> R.fail r
+
+(* lint: allow hashtbl-order — each row is reversed in place *)
+let seal t = Hashtbl.iter (fun _ entries -> entries := List.rev !entries) t.rows
+
 let restore lines =
   let t = create () in
-  let tails = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ "e"; table; row; etxn; mode; ab; aa; rb; ra ] ->
-        let row = (int_of_string table, int_of_string row) in
-        let release_iv =
-          match (rb, ra) with
-          | "-", "-" -> None
-          | rb, ra ->
-            Some (Interval.make ~bef:(int_of_string rb) ~aft:(int_of_string ra))
-        in
-        let e =
-          {
-            etxn = int_of_string etxn;
-            mode =
-              (match mode with
-              | "S" -> S
-              | "X" -> X
-              | _ -> failwith "Me_verifier.restore: bad mode");
-            acquire_iv =
-              Interval.make ~bef:(int_of_string ab) ~aft:(int_of_string aa);
-            release_iv;
-          }
-        in
-        let r =
-          match Hashtbl.find_opt tails row with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.replace tails row r;
-            r
-        in
-        r := e :: !r;
-        t.live <- t.live + 1
-      | [ "t"; txn; rows ] ->
-        let rows =
-          if rows = "" then []
-          else
-            List.map
-              (fun pair ->
-                match String.split_on_char ',' pair with
-                | [ tb; r ] -> (int_of_string tb, int_of_string r)
-                | _ -> failwith "Me_verifier.restore: bad row pair")
-              (String.split_on_char ';' rows)
-        in
-        Hashtbl.replace t.by_txn (int_of_string txn) rows
-      | _ -> failwith "Me_verifier.restore: malformed line")
-    lines;
-  (* lint: allow hashtbl-order — each binding becomes its own row list;
-     the rows table is only consulted per key *)
-  Hashtbl.iter
-    (fun row r -> Hashtbl.replace t.rows row (ref (List.rev !r)))
-    tails;
+  List.iter (fun line -> R.read ~tag:"Me_verifier" line (load t)) lines;
+  seal t;
   t
 
 let prune t ~horizon =

@@ -72,13 +72,21 @@ val referenced_txns : t -> int list
 
 val dump : t -> string list
 (** Serialize the lock table (row-major, sorted row keys) and the
-    per-transaction row lists, preserving both list orders — [release]
-    iterates them, so they pin pair-evaluation order.  Inverse of
-    {!restore}. *)
+    per-transaction row lists as {!Leopard_trace.Fields} lines,
+    preserving both list orders — [release] iterates them, so they pin
+    pair-evaluation order.  Inverse of {!restore}. *)
 
 val restore : string list -> t
 (** Rebuild a lock table from {!dump} output.  Raises [Failure] on a
     malformed line. *)
+
+val load : t -> Leopard_trace.Fields.Cursor.t -> unit
+(** Add one {!dump} line (a lock entry, appended to its row, or a
+    transaction's row list): how {!restore} and the checker's decoder
+    fill a lock table, then call {!seal}. *)
+
+val seal : t -> unit
+(** Put every row back in {!dump} order once all lines are loaded. *)
 
 val prune : t -> horizon:int -> int
 (** Drop released entries whose release after-timestamp is [<= horizon]:

@@ -1,4 +1,6 @@
 module Interval = Leopard_util.Interval
+module Fields = Leopard_trace.Fields
+module R = Fields.Cursor
 
 (* rw endpoints carry their interval evidence so that garbage-collecting
    the node (Definition 4 is stated for cycles) can never lose an SSI
@@ -188,77 +190,43 @@ let gc t ~frontier =
    every live out-edge targets a live node (gc only removes in-degree
    zero nodes, removing their out-edges with them). *)
 let dump t =
-  let rw_ends ends =
-    String.concat ";"
-      (List.map
-         (fun r ->
-           Printf.sprintf "%d,%d,%d,%d,%d" r.rtxn (Interval.bef r.rfirst)
-             (Interval.aft r.rfirst) (Interval.bef r.rterminal)
-             (Interval.aft r.rterminal))
-         ends)
+  let rw_ends =
+    Fields.entries (fun r -> Fields.[ int r.rtxn; iv r.rfirst; iv r.rterminal ])
   in
   Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
   |> List.sort (fun a b -> Int.compare a.ntxn b.ntxn)
   |> List.map (fun n ->
-         Printf.sprintf "%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s" n.ntxn
-           (Interval.bef n.first_iv) (Interval.aft n.first_iv)
-           (Interval.bef n.terminal_iv) (Interval.aft n.terminal_iv)
-           (String.concat ";"
-              (List.map
+         Fields.(
+           line
+             [
+               int n.ntxn; iv n.first_iv; iv n.terminal_iv;
+               entries
                  (fun (target, kind) ->
-                   Printf.sprintf "%d,%s" target (Dep.kind_to_string kind))
-                 n.out_edges))
-           (rw_ends n.in_rw) (rw_ends n.out_rw))
+                   [ int target; name (Dep.kind_to_string kind) ])
+                 n.out_edges;
+               rw_ends n.in_rw; rw_ends n.out_rw;
+             ]))
 
-let restore certifier lines =
-  let t = create certifier in
-  let parse_rw_ends s =
-    if s = "" then []
-    else
-      List.map
-        (fun part ->
-          match String.split_on_char ',' part with
-          | [ rtxn; fb; fa; tb; ta ] ->
-            {
-              rtxn = int_of_string rtxn;
-              rfirst =
-                Interval.make ~bef:(int_of_string fb) ~aft:(int_of_string fa);
-              rterminal =
-                Interval.make ~bef:(int_of_string tb) ~aft:(int_of_string ta);
-            }
-          | _ -> failwith "Sc_verifier.restore: bad rw witness")
-        (String.split_on_char ';' s)
+let load t r =
+  let rw_end r =
+    let rtxn = R.int r in
+    let rfirst = R.iv r in
+    { rtxn; rfirst; rterminal = R.iv r }
   in
-  List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ ntxn; fb; fa; tb; ta; out_edges; in_rw; out_rw ] ->
-        let out_edges =
-          if out_edges = "" then []
-          else
-            List.map
-              (fun part ->
-                match String.split_on_char ',' part with
-                | [ target; kind ] ->
-                  (int_of_string target, Dep.kind_of_string kind)
-                | _ -> failwith "Sc_verifier.restore: bad edge")
-              (String.split_on_char ';' out_edges)
-        in
-        let ntxn = int_of_string ntxn in
-        Hashtbl.replace t.nodes ntxn
-          {
-            ntxn;
-            first_iv =
-              Interval.make ~bef:(int_of_string fb) ~aft:(int_of_string fa);
-            terminal_iv =
-              Interval.make ~bef:(int_of_string tb) ~aft:(int_of_string ta);
-            out_edges;
-            in_degree = 0;
-            in_rw = parse_rw_ends in_rw;
-            out_rw = parse_rw_ends out_rw;
-          }
-      | _ -> failwith "Sc_verifier.restore: malformed node line")
-    lines;
+  let ntxn = R.int r in
+  let first_iv = R.iv r in
+  let terminal_iv = R.iv r in
+  let out_edges =
+    R.entries r (fun r ->
+        let target = R.int r in
+        (target, R.choice r Dep.kind_to_string Dep.[ Ww; Wr; Rw ]))
+  in
+  let in_rw = R.entries r rw_end in
+  let out_rw = R.entries r rw_end in
+  Hashtbl.replace t.nodes ntxn
+    { ntxn; first_iv; terminal_iv; out_edges; in_degree = 0; in_rw; out_rw }
+
+let seal t =
   (* lint: allow hashtbl-order — in-degree increments are commutative *)
   Hashtbl.iter
     (fun _ n ->
@@ -267,9 +235,14 @@ let restore certifier lines =
         (fun (target, _) ->
           match Hashtbl.find_opt t.nodes target with
           | Some m -> m.in_degree <- m.in_degree + 1
-          | None -> failwith "Sc_verifier.restore: edge to unknown node")
+          | None -> failwith "Sc_verifier: edge to unknown node")
         n.out_edges)
-    t.nodes;
+    t.nodes
+
+let restore certifier lines =
+  let t = create certifier in
+  List.iter (fun line -> R.read ~tag:"Sc_verifier" line (load t)) lines;
+  seal t;
   t
 
 let has_cycle t =

@@ -53,15 +53,22 @@ val gc : t -> frontier:int -> int
     garbage appears.  Returns nodes pruned. *)
 
 val dump : t -> string list
-(** Serialize the graph, txn-sorted, preserving edge and rw-witness list
-    order (they pin certifier-check order); witnesses carry their
-    interval copies because they may outlive gc'd nodes.  Inverse of
-    {!restore}. *)
+(** Serialize the graph as {!Leopard_trace.Fields} lines, txn-sorted,
+    preserving edge and rw-witness list order (they pin certifier-check
+    order); witnesses carry their interval copies because they may
+    outlive gc'd nodes.  Inverse of {!restore}. *)
 
 val restore : Il_profile.certifier option -> string list -> t
 (** Rebuild a graph from {!dump} output without re-running certifier
-    checks; in-degrees and the edge count are recomputed.  Raises
-    [Failure] on malformed input. *)
+    checks: {!load} every line, then {!seal}.  Raises [Failure] on
+    malformed input. *)
+
+val load : t -> Leopard_trace.Fields.Cursor.t -> unit
+(** Add one {!dump} line's node, its in-degree not yet counted. *)
+
+val seal : t -> unit
+(** Count in-degrees and edges once every node is loaded.  Raises
+    [Failure] on an edge to an unknown node. *)
 
 val has_cycle : t -> bool
 (** Full cycle search over the current graph — used by tests to

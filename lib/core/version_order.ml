@@ -1,6 +1,8 @@
 module Cell = Leopard_trace.Cell
 module Trace = Leopard_trace.Trace
 module Interval = Leopard_util.Interval
+module Fields = Leopard_trace.Fields
+module R = Fields.Cursor
 
 type version = {
   value : Trace.value;
@@ -31,9 +33,15 @@ let get_chain t cell =
     Cell.Tbl.add t.chains cell c;
     c
 
-let install t cell v ~predecessor ~successor =
+(* The chain that [cell]'s next version joins; its second version puts
+   it in the index. *)
+let growing t cell =
   let c = get_chain t cell in
   (match c.versions with [ _ ] -> Cell.Tbl.replace t.multi cell c | _ -> ());
+  c
+
+let install t cell v ~predecessor ~successor =
+  let c = growing t cell in
   let key x = Interval.aft x.commit_iv in
   (* Ascending insert; new versions usually go at the tail. *)
   let rec go prev = function
@@ -75,65 +83,36 @@ let referenced_txns t =
 let dump t =
   Cell.Tbl.fold (fun cell c acc -> (cell, c.versions) :: acc) t.chains []
   |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.concat_map (fun ((cell : Cell.t), versions) ->
+  |> List.concat_map (fun (at, versions) ->
          List.map
            (fun v ->
-             Printf.sprintf "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s"
-               cell.Cell.table cell.Cell.row cell.Cell.col v.value v.vtxn
-               (Interval.bef v.write_iv) (Interval.aft v.write_iv)
-               (Interval.bef v.commit_iv) (Interval.aft v.commit_iv)
-               (String.concat ","
-                  (List.map string_of_int v.readers)))
+             Fields.(
+               line
+                 [
+                   cell at; int v.value; int v.vtxn; iv v.write_iv;
+                   iv v.commit_iv; ints v.readers;
+                 ]))
            versions)
+
+let load t r =
+  let cell = R.cell r in
+  let value = R.int r in
+  let vtxn = R.int r in
+  let write_iv = R.iv r in
+  let commit_iv = R.iv r in
+  let v = { value; vtxn; write_iv; commit_iv; readers = R.ints r } in
+  let c = growing t cell in
+  c.versions <- v :: c.versions;
+  t.live <- t.live + 1
+
+let seal t =
+  (* lint: allow hashtbl-order — each chain is reversed in place *)
+  Cell.Tbl.iter (fun _ c -> c.versions <- List.rev c.versions) t.multi
 
 let restore lines =
   let t = create () in
-  let tails = Cell.Tbl.create 64 in
-  List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ tb; rw; cl; value; vtxn; wb; wa; cb; ca; readers ] ->
-        let cell =
-          Cell.make ~table:(int_of_string tb) ~row:(int_of_string rw)
-            ~col:(int_of_string cl)
-        in
-        let readers =
-          if readers = "" then []
-          else List.map int_of_string (String.split_on_char ',' readers)
-        in
-        let v =
-          {
-            value = int_of_string value;
-            vtxn = int_of_string vtxn;
-            write_iv =
-              Interval.make ~bef:(int_of_string wb) ~aft:(int_of_string wa);
-            commit_iv =
-              Interval.make ~bef:(int_of_string cb) ~aft:(int_of_string ca);
-            readers;
-          }
-        in
-        let r =
-          match Cell.Tbl.find_opt tails cell with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Cell.Tbl.add tails cell r;
-            r
-        in
-        r := v :: !r;
-        t.live <- t.live + 1
-      | _ -> failwith "Version_order.restore: malformed version line")
-    lines;
-  (* lint: allow hashtbl-order — each binding becomes its own chain; the
-     chains table and its index are only ever consulted per cell *)
-  Cell.Tbl.iter
-    (fun cell r ->
-      let c = { versions = List.rev !r } in
-      Cell.Tbl.replace t.chains cell c;
-      match c.versions with
-      | _ :: _ :: _ -> Cell.Tbl.replace t.multi cell c
-      | _ -> ())
-    tails;
+  List.iter (fun line -> R.read ~tag:"Version_order" line (load t)) lines;
+  seal t;
   t
 
 let prune t ~horizon =

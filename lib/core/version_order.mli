@@ -58,13 +58,21 @@ val referenced_txns : t -> int list
     the truncation retained-set. *)
 
 val dump : t -> string list
-(** Serialize every retained version, cell-major in {!Cell.compare} order
-    (deterministic whatever the insertion history); in-chain order and
-    reader-list order are preserved exactly.  Inverse of {!restore}. *)
+(** Serialize every retained version as one {!Leopard_trace.Fields}
+    line, cell-major in {!Cell.compare} order (deterministic whatever
+    the insertion history); in-chain order and reader-list order are
+    preserved exactly.  Inverse of {!restore}. *)
 
 val restore : string list -> t
 (** Rebuild a mirror from {!dump} output.  Raises [Failure] on a
     malformed line. *)
+
+val load : t -> Leopard_trace.Fields.Cursor.t -> unit
+(** Add one {!dump} line's version to its chain: how {!restore} and the
+    checker's decoder fill a mirror, then call {!seal}. *)
+
+val seal : t -> unit
+(** Put every chain back in {!dump} order once all lines are loaded. *)
 
 val prune : t -> horizon:int -> int
 (** Garbage-collect versions that can never again be candidates for any

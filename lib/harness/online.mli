@@ -17,7 +17,7 @@
 type result = {
   outcome : Run.outcome;
   report : Leopard.Checker.report;
-  verify_wall_s : float;  (** wall time spent inside verification calls *)
+  verify_cpu_s : float;  (** CPU time spent inside verification calls *)
   rounds : int;  (** batch windows processed *)
   max_lag : int;  (** peak produced-but-not-yet-verified traces *)
   final_lag : int;

@@ -1,6 +1,7 @@
 module Checker = Leopard.Checker
 module Pipeline = Leopard.Pipeline
 module Ckpt = Leopard_trace.Ckpt
+module Fields = Leopard_trace.Fields
 module Trace = Leopard_trace.Trace
 
 (* Runs keep the tag of the first driver that checkpointed them, the
@@ -60,7 +61,7 @@ let cut t ~watermark =
     (fun w ->
       let snapshot = Checker.encode t.checker in
       Ckpt.append w
-        (if t.cursor then Printf.sprintf "cursor\t%d" t.fed :: snapshot
+        (if t.cursor then Fields.(record "cursor" [ int t.fed ]) :: snapshot
          else snapshot))
     t.writer
 
@@ -107,21 +108,23 @@ let restore ~gc_every il (path, fingerprint) ~total =
             "checkpoint %s: %s; starting verification from scratch" path why;
         ] )
   in
-  let cursor, snapshot =
-    match frame with
-    | Some (line :: snapshot) ->
-      (Scanf.sscanf_opt line "cursor\t%d%!" Fun.id, snapshot)
-    | Some [] | None -> (None, [])
+  let cursor line =
+    Fields.Cursor.read line (fun r ->
+        if Fields.Cursor.tag r <> "cursor" then Fields.Cursor.fail r;
+        Fields.Cursor.int r)
   in
-  match (frame, cursor) with
-  | None, _ -> (None, warnings)
-  | Some _, None -> reject "malformed cursor line"
-  | Some _, Some cursor when cursor < 0 || cursor > total ->
-    reject (Printf.sprintf "cursor %d outside the %d-trace file" cursor total)
-  | Some _, Some cursor -> (
-    match Checker.decode ~gc_every il snapshot with
-    | Ok checker -> (Some (checker, cursor), warnings)
-    | Error msg -> reject (Printf.sprintf "snapshot rejected (%s)" msg))
+  match frame with
+  | None -> (None, warnings)
+  | Some [] -> reject "malformed cursor line"
+  | Some (line :: snapshot) -> (
+    match cursor line with
+    | exception Failure _ -> reject "malformed cursor line"
+    | cursor when cursor < 0 || cursor > total ->
+      reject (Printf.sprintf "cursor %d outside the %d-trace file" cursor total)
+    | cursor -> (
+      match Checker.decode ~gc_every il snapshot with
+      | Ok checker -> (Some (checker, cursor), warnings)
+      | Error msg -> reject (Printf.sprintf "snapshot rejected (%s)" msg)))
 
 let verify ?(gc_every = 512) ?(gc_watermark = 0) ?checkpoint ?(resume = false)
     ?file ?(after_trace = ignore) il marks source =

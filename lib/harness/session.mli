@@ -25,13 +25,13 @@
     dispatched since the last cut, at [Pipeline.watermark].
 
     {b Checkpoints.}  [checkpoint] (needs [gc_watermark]) gets a frame
-    per cut.  A [Sorted] session prefixes each frame with [cursor\tN],
-    the traces consumed, so a later session over the same file can
-    resume; a pipeline session cannot resume, so its frames are bare
-    snapshots and the last one is the finalized state.  The file's
-    header fingerprints the profile, the cadences and, for a trace
-    file, a digest of the whole file, read only when a checkpoint is
-    named: a checkpoint never resumes against different input. *)
+    per cut.  A [Sorted] session prefixes each frame with a [cursor]
+    record holding N, the traces consumed, so a later session over the
+    same file can resume; a pipeline session cannot resume, so its
+    frames are bare snapshots and the last one is the finalized state.
+    The file's header fingerprints the profile, the cadences and, for a
+    trace file, a digest of the whole file, read only when a checkpoint
+    is named: a checkpoint never resumes against different input. *)
 
 type source =
   | Sorted of Leopard_trace.Trace.t list  (** one globally sorted stream *)

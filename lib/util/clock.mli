@@ -1,4 +1,4 @@
-(** The one sanctioned wall-clock read (lint rule D002).
+(** The one sanctioned host-clock read (lint rule D002).
 
     Simulated time drives every trace timestamp, every fault schedule
     and every verdict — those must never touch the host clock, or a
@@ -9,7 +9,7 @@
     [Sys.time]/[Unix.gettimeofday] everywhere else, so a wall-clock
     read outside this file is a build error, not a code-review catch. *)
 
-val wall : unit -> float
+val cpu : unit -> float
 (** Processor time in seconds ([Sys.time]); subtract two samples for a
     duration.  Reporting only — the value must never reach a trace,
     a schedule or a verdict. *)

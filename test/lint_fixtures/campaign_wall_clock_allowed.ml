@@ -1,2 +1,2 @@
 (* lint: allow wall-clock — fixture: campaign progress logging only *)
-let cell_wall () = Leopard_util.Clock.wall ()
+let cell_cpu () = Leopard_util.Clock.cpu ()

@@ -1,1 +1,1 @@
-let cell_wall () = Leopard_util.Clock.wall ()
+let cell_cpu () = Leopard_util.Clock.cpu ()

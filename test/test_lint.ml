@@ -79,7 +79,7 @@ let compose_cases =
 
 (* The campaign zone rides the rules with a twist of its own: cell
    bodies must be pure functions of the cell, so even the sanctioned
-   reporting clock (Util.Clock.wall) is a wall-clock finding there, and
+   reporting clock (Util.Clock.cpu) is a wall-clock finding there, and
    a wildcard over the cell outcome family (Completed/Crashed/Timeout)
    is a verdict-wildcard finding. *)
 let campaign_cases =
@@ -188,7 +188,7 @@ let test_shard_zone_scoping () =
     [ Zone.Harness; Zone.Bin; Zone.Test ]
 
 (* The campaign-only wall-clock tightening must not leak: the same
-   Clock.wall read is legal everywhere else (it IS the sanctioned
+   Clock.cpu read is legal everywhere else (it IS the sanctioned
    reporting clock), and outcome matches in tests stay free. *)
 let test_campaign_zone_scoping () =
   List.iter

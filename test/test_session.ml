@@ -261,7 +261,7 @@ let flat text =
            (String.starts_with ~prefix:"resumed  :" l
            || String.starts_with ~prefix:"checkpoint " l))
   |> List.map (fun l ->
-         (* drop the ", X ms wall" tail *)
+         (* drop the ", X ms cpu" tail *)
          if String.starts_with ~prefix:"checked  :" l then
            String.sub l 0 (String.rindex l ',')
          else l)

@@ -23,6 +23,9 @@
      field-for-field, superseded state included, and refuses foreign
      profiles/flags; a snapshot without that state still resumes to the
      same verdict;
+   - a snapshot corpus holding all 21 record kinds encodes to committed
+     golden bytes, and every one of its records, damaged, is rejected
+     by name;
    - the [Ckpt] container survives the campaign checkpoint's 18-way
      damage ladder: any corruption degrades to an older frame or a
      fresh start with a warning, never to trusting damaged bytes;
@@ -449,6 +452,244 @@ let test_lossy_snapshot_roundtrip () =
       (verdict_digest ra)
       (verdict_digest (Leopard.Checker.report old))
   done
+
+(* --- the snapshot corpus: every record kind, pinned byte for byte --- *)
+
+(* Every record tag [Checker.encode] writes. *)
+let snapshot_tags =
+  [
+    "h"; "s"; "fs"; "mc"; "b"; "x"; "xw"; "xd"; "df"; "ir"; "av"; "nv"; "id";
+    "cl"; "aw"; "du"; "vo"; "me"; "fw"; "sc"; "dl";
+  ]
+
+(* A checker cut mid-stream: [prefix] builds it, [rest] is the stream
+   still to come. *)
+type snapshot = {
+  name : string;
+  il : Il.t;
+  prefix : unit -> Leopard.Checker.t;
+  rest : Trace.t list;
+}
+
+(* A planted stale read on TPC-C, cut untruncated halfway: bugs, aborted
+   writes, initial readers, deferred reads and all four mirrors. *)
+let stale_tpcc () =
+  let traces =
+    H.Run.all_traces_sorted
+      (H.Run.execute
+         (H.Run.config ~clients:8 ~seed:3 ~spec:(W.Tpcc.spec ())
+            ~faults:(Minidb.Fault.Set.singleton Minidb.Fault.Stale_read)
+            ~profile:Minidb.Profile.postgresql
+            ~level:Minidb.Isolation.Serializable ~stop:(H.Run.Txn_count 60) ()))
+  in
+  let first, rest = split_at (List.length traces / 2) traces in
+  let prefix () =
+    let c = Leopard.Checker.create il_sr in
+    List.iter (Leopard.Checker.feed c) first;
+    c
+  in
+  { name = "tpcc stale-read"; il = il_sr; prefix; rest }
+
+(* Readers checked while their transactions are still open: T2 read a
+   value of T1, whose COMMIT went unacknowledged, so T2 is parked on an
+   ambiguous writer ([aw], [nv]); T5 read T4's committed value, so the
+   wr dep waits for T5's terminal ([xd]).  T3's read moved the frontier
+   past both.  T2's commit after the cut resolves T1. *)
+let parked_readers () =
+  let x = Helpers.cell 0 and y = Helpers.cell 1 and z = Helpers.cell 2 in
+  let prefix () =
+    let c = Leopard.Checker.create il_sr in
+    Leopard.Checker.mark_ambiguous_commit c ~txn:1;
+    List.iter (Leopard.Checker.feed c)
+      [
+        Helpers.write ~client:1 ~txn:1 ~bef:10 ~aft:12 [ (x, 5) ];
+        Helpers.write ~client:4 ~txn:4 ~bef:13 ~aft:14 [ (z, 7) ];
+        Helpers.commit ~client:4 ~txn:4 ~bef:15 ~aft:16 ();
+        Helpers.read ~client:2 ~txn:2 ~bef:20 ~aft:22 [ (x, 5) ];
+        Helpers.read ~client:5 ~txn:5 ~bef:23 ~aft:24 [ (z, 7) ];
+        Helpers.read ~client:3 ~txn:3 ~bef:30 ~aft:31 [ (y, 0) ];
+      ];
+    c
+  in
+  {
+    name = "parked readers";
+    il = il_sr;
+    prefix;
+    rest =
+      [
+        Helpers.commit ~client:2 ~txn:2 ~bef:40 ~aft:41 ();
+        Helpers.commit ~client:5 ~txn:5 ~bef:42 ~aft:43 ();
+        Helpers.commit ~client:3 ~txn:3 ~bef:44 ~aft:45 ();
+      ];
+  }
+
+let snapshot_corpus () = [ stale_tpcc (); parked_readers () ]
+
+let tag_of line =
+  match String.index_opt line '\t' with
+  | Some i -> String.sub line 0 i
+  | None -> line
+
+let decode_ok il lines =
+  match Leopard.Checker.decode il lines with
+  | Ok c -> c
+  | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
+
+let finish_with rest c =
+  List.iter (Leopard.Checker.feed c) rest;
+  Leopard.Checker.finalize c;
+  digest (Leopard.Checker.report c)
+
+let test_snapshot_corpus_covers_every_record () =
+  let corpus = snapshot_corpus () in
+  let snapshots =
+    List.map (fun s -> (s, Leopard.Checker.encode (s.prefix ()))) corpus
+  in
+  let tags =
+    List.concat_map (fun (_, lines) -> List.map tag_of lines) snapshots
+  in
+  List.iter
+    (fun tag ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the corpus holds a %s record" tag)
+        true (List.mem tag tags))
+    snapshot_tags;
+  List.iter
+    (fun (s, lines) ->
+      let b = decode_ok s.il lines in
+      Alcotest.(check (list string))
+        (s.name ^ ": encode is a fixpoint")
+        lines (Leopard.Checker.encode b);
+      Alcotest.(check string)
+        (s.name ^ ": resumed report equals uninterrupted")
+        (finish_with s.rest (s.prefix ()))
+        (finish_with s.rest b))
+    snapshots
+
+(* [snapshot_corpus.golden] holds each corpus snapshot as a "== NAME"
+   line followed by its records, as the codec wrote them when the file
+   was committed.  A round trip cannot catch an encoder and a decoder
+   that change the format together; these bytes can. *)
+let golden_path = "snapshot_corpus.golden"
+
+let read_golden () =
+  let sections = ref [] in
+  List.iter
+    (fun line ->
+      match (String.starts_with ~prefix:"== " line, !sections) with
+      | true, _ ->
+        let name = String.sub line 3 (String.length line - 3) in
+        sections := (name, []) :: !sections
+      | false, (name, lines) :: older ->
+        sections := (name, line :: lines) :: older
+      | false, [] -> Alcotest.fail "golden file starts without a section")
+    (String.split_on_char '\n' (Helpers.read_file golden_path)
+    |> List.filter (fun l -> l <> ""));
+  List.rev_map (fun (name, lines) -> (name, List.rev lines)) !sections
+
+let test_snapshot_corpus_golden_bytes () =
+  let golden = read_golden () in
+  List.iter
+    (fun s ->
+      let expected =
+        match List.assoc_opt s.name golden with
+        | Some lines -> lines
+        | None -> Alcotest.fail ("golden file lacks " ^ s.name)
+      in
+      Alcotest.(check (list string))
+        (s.name ^ ": encode writes the golden bytes")
+        expected
+        (Leopard.Checker.encode (s.prefix ()));
+      Alcotest.(check (list string))
+        (s.name ^ ": the golden snapshot re-encodes unchanged")
+        expected
+        (Leopard.Checker.encode (decode_ok s.il expected)))
+    (snapshot_corpus ())
+
+(* Where a record's first interval starts, counting the tag as field 0
+   (an [me] lock-entry line; a [t] line is too short to have one). *)
+let first_interval_field = function
+  | "x" -> Some 3
+  | "df" | "sc" -> Some 2
+  | "fw" -> Some 4
+  | "xw" | "vo" | "me" -> Some 6
+  | _ -> None
+
+(* [line] with its first dep-kind piece (a field, or a [,]/[;]-separated
+   part of one, reading ww, wr or rw) made "zz". *)
+let first_dep_kind_to_zz line =
+  let n = String.length line in
+  let sep i = i < 0 || i >= n || String.contains "\t;," line.[i] in
+  let rec go i =
+    if i + 2 > n then line
+    else if
+      sep (i - 1)
+      && sep (i + 2)
+      && List.mem (String.sub line i 2) [ "ww"; "wr"; "rw" ]
+    then String.sub line 0 i ^ "zz" ^ String.sub line (i + 2) (n - i - 2)
+    else go (i + 1)
+  in
+  go 0
+
+(* Each line of each corpus snapshot, damaged five ways in turn: its
+   last field dropped, a field appended, its first integer field made
+   "x", its first interval inverted, its first dep kind unknown.  Decode
+   must answer [Error] naming the record, never raise and never
+   accept. *)
+let test_snapshot_malformed_records () =
+  List.iter
+    (fun s ->
+      let lines = Array.of_list (Leopard.Checker.encode (s.prefix ())) in
+      Array.iteri
+        (fun i line ->
+          let tag = tag_of line in
+          let fields = String.split_on_char '\t' line in
+          let rec first_int_to_x = function
+            | [] -> []
+            | f :: rest when Option.is_some (int_of_string_opt f) -> "x" :: rest
+            | f :: rest -> f :: first_int_to_x rest
+          in
+          let invert_first_interval =
+            match first_interval_field tag with
+            | Some k when k + 1 < List.length fields ->
+              List.mapi
+                (fun j f ->
+                  if j = k then List.nth fields (k + 1)
+                  else if j = k + 1 then List.nth fields k
+                  else f)
+                fields
+            | _ -> fields
+          in
+          let mutations =
+            [
+              ( "drop the last field",
+                List.filteri (fun k _ -> k < List.length fields - 1) fields );
+              ("append a field", fields @ [ "0" ]);
+              ("first integer field made x", first_int_to_x fields);
+              ("first interval inverted", invert_first_interval);
+              ( "first dep kind made zz",
+                String.split_on_char '\t' (first_dep_kind_to_zz line) );
+            ]
+          in
+          List.iter
+            (fun (what, damaged) ->
+              if damaged <> fields then begin
+                let copy = Array.copy lines in
+                copy.(i) <- String.concat "\t" damaged;
+                let what =
+                  Printf.sprintf "%s line %d (%s), %s" s.name i tag what
+                in
+                match Leopard.Checker.decode s.il (Array.to_list copy) with
+                | Ok _ -> Alcotest.fail (what ^ ": decode accepted it")
+                | Error msg ->
+                  Alcotest.(check string) what ("malformed " ^ tag) msg
+                | exception e ->
+                  Alcotest.fail
+                    (what ^ ": decode raised " ^ Printexc.to_string e)
+              end)
+            mutations)
+        lines)
+    (snapshot_corpus ())
 
 (* --- the horizon premise: sequential clients ------------------------- *)
 
@@ -877,4 +1118,10 @@ let suite =
       test_online_checkpoint_requires_watermark;
     Alcotest.test_case "cli checkpoint flag grammar" `Quick
       test_cli_checkpointing_rules;
+    Alcotest.test_case "snapshot corpus holds every record kind" `Quick
+      test_snapshot_corpus_covers_every_record;
+    Alcotest.test_case "snapshot corpus encodes to the golden bytes" `Quick
+      test_snapshot_corpus_golden_bytes;
+    Alcotest.test_case "malformed snapshot records name their tag" `Quick
+      test_snapshot_malformed_records;
   ]
