@@ -1464,80 +1464,6 @@ let campaign_bench () =
 
 (* ------------------------------------------------------------------ *)
 
-let lint_bench () =
-  let module D = Leopard_analysis.Driver in
-  section "Lint — interprocedural analysis cpu, cold vs warm summary cache";
-  let roots =
-    List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "examples" ]
-  in
-  let cache_file = Filename.temp_file "leopard_lint_bench" ".cache" in
-  Sys.remove cache_file (* the cold run must start without a cache *);
-  let run () =
-    let t0 = cpu () in
-    let s = D.lint_paths ~cache_file ~clock:cpu roots in
-    (s, cpu () -. t0)
-  in
-  let s_cold, t_cold = run () in
-  let s_warm, t_warm = run () in
-  if Sys.file_exists cache_file then Sys.remove cache_file;
-  let row name (s : D.summary) t =
-    let tm = s.D.timings in
-    [
-      name; fmt_ms t; fmt_ms tm.D.t_parse; fmt_ms tm.D.t_syntactic;
-      fmt_ms tm.D.t_extract; fmt_ms tm.D.t_graph; fmt_ms tm.D.t_race;
-      fmt_ms tm.D.t_taint; fmt_ms tm.D.t_stale;
-      Table.fmt_int (List.length s.D.reanalyzed);
-      Table.fmt_int (List.length s.D.cached);
-    ]
-  in
-  Table.print
-    ~aligns:Table.[ Left ]
-    ~header:
-      [
-        "run"; "cpu(ms)"; "parse"; "syn(D/F/E)"; "extract"; "graph";
-        "race(P1/2)"; "taint(P3)"; "stale(S1)"; "reanalyzed"; "cached";
-      ]
-    [ row "cold" s_cold t_cold; row "warm" s_warm t_warm ];
-  let ratio = if t_cold <= 0.0 then 0.0 else t_warm /. t_cold in
-  Printf.printf "\n%d files, %d active, %d suppressed; warm/cold = %.2f (%s)\n"
-    s_cold.D.files s_cold.D.active s_cold.D.suppressed_total ratio
-    (if ratio < 0.5 then "warm < 50% of cold: PASS"
-     else "warm >= 50% of cold");
-  if !emit_json then begin
-    let stage (s : D.summary) t =
-      let tm = s.D.timings in
-      Printf.sprintf
-        "{ \"cpu_ms\": %.3f, \"parse_ms\": %.3f, \"syntactic_ms\": %.3f, \
-         \"extract_ms\": %.3f, \"graph_ms\": %.3f, \"race_ms\": %.3f, \
-         \"taint_ms\": %.3f, \"stale_ms\": %.3f, \"reanalyzed\": %d, \
-         \"cached\": %d }"
-        (t *. 1e3) (tm.D.t_parse *. 1e3) (tm.D.t_syntactic *. 1e3)
-        (tm.D.t_extract *. 1e3) (tm.D.t_graph *. 1e3) (tm.D.t_race *. 1e3)
-        (tm.D.t_taint *. 1e3) (tm.D.t_stale *. 1e3)
-        (List.length s.D.reanalyzed)
-        (List.length s.D.cached)
-    in
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"files\": %d,\n  \"active\": %d,\n  \"suppressed\": %d,\n"
-         s_cold.D.files s_cold.D.active s_cold.D.suppressed_total);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"cold\": %s,\n" (stage s_cold t_cold));
-    Buffer.add_string buf
-      (Printf.sprintf "  \"warm\": %s,\n" (stage s_warm t_warm));
-    Buffer.add_string buf
-      (Printf.sprintf "  \"warm_over_cold\": %.4f\n" ratio);
-    Buffer.add_string buf "}\n";
-    let oc = open_out "BENCH_lint.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "\nwrote BENCH_lint.json"
-  end
-
-(* ------------------------------------------------------------------ *)
-
 let experiments =
   [
     ("fig4", fig4);
@@ -1556,7 +1482,6 @@ let experiments =
     ("shard", shard_bench);
     ("shard-repl", shard_repl_bench);
     ("campaign", campaign_bench);
-    ("lint", lint_bench);
     ("micro", micro);
   ]
 

@@ -19,9 +19,6 @@ let usage =
   \  --json           print the report as JSON instead of text\n\
   \  -o FILE          also write the JSON report to FILE\n\
   \  --sarif FILE     also write a SARIF 2.1.0 report to FILE\n\
-  \  --cache-dir DIR  keep per-module summaries in DIR so re-lints\n\
-  \                   only re-analyze changed modules and their\n\
-  \                   reverse dependencies\n\
   \  --zone ZONE      force the zone for all PATHs (fixture testing);\n\
   \                   one of core|trace|minidb|harness|net|util|workload|\n\
   \                   baselines|analysis|bin|bench|examples|test\n\
@@ -46,7 +43,6 @@ let () =
   let json = ref false in
   let out_file = ref None in
   let sarif_file = ref None in
-  let cache_dir = ref None in
   let zone = ref None in
   let quiet = ref false in
   let paths = ref [] in
@@ -63,11 +59,6 @@ let () =
       sarif_file := Some file;
       parse rest
     | "--sarif" :: [] -> die "leopard_lint: --sarif needs a file argument\n"
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := Some dir;
-      parse rest
-    | "--cache-dir" :: [] ->
-      die "leopard_lint: --cache-dir needs a directory argument\n"
     | "--zone" :: z :: rest -> (
       match A.Zone.of_string z with
       | Some zn ->
@@ -98,16 +89,8 @@ let () =
       if not (Sys.file_exists p) then
         die (Printf.sprintf "leopard_lint: no such path: %s\n" p))
     paths;
-  let cache_file =
-    match !cache_dir with
-    | None -> None
-    | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Some (Filename.concat dir "summaries.cache")
-  in
   let summary =
-    A.Driver.lint_paths ?zone:!zone ?cache_file
-      ~clock:Leopard_util.Clock.cpu paths
+    A.Driver.lint_paths ?zone:!zone ~clock:Leopard_util.Clock.cpu paths
   in
   let write_to file text =
     let oc = open_out file in

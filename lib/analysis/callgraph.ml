@@ -15,11 +15,16 @@
    Resolution is purely syntactic: a call head resolves into the
    project iff one of its path components names a known module (a
    capitalized source basename) that defines the final component as a
-   top-level function.  Unresolvable heads (stdlib, functor-generated,
-   dynamic) contribute no edges — the analysis under-approximates
-   through them and the rules say so in their rationale. *)
+   top-level function.  Each file is its own node, so two files with
+   the same basename never share a function: an unqualified head
+   resolves in its own file, and a module name that several files
+   define resolves to the one in the caller's directory, or to nothing.
+   Unresolvable heads (stdlib, functor-generated, dynamic) contribute
+   no edges — the analysis under-approximates through them and the
+   rules say so in their rationale. *)
 
-type fn_id = { f_module : string; f_fn : string }
+(* [f_path] is the defining file; [f_module] only names it in messages. *)
+type fn_id = { f_path : string; f_module : string; f_fn : string }
 
 (* One transitively-reached unguarded write: the syntactic write, the
    function chain that reaches it ("Pool.map -> Obs.bump"), and the
@@ -37,67 +42,82 @@ type effects = {
 }
 
 type t = {
-  modules : (string * Summary.t) list;  (* sorted by module name *)
-  fn_index : (string, Summary.fn) Hashtbl.t;  (* "Mod.fn" -> fn *)
-  global_index : (string, Summary.global) Hashtbl.t;  (* "Mod.g" *)
-  fx : (string, effects) Hashtbl.t;  (* "Mod.fn" -> effects *)
-  mutable deps : (string * string list) list;  (* sorted adjacency *)
+  files : (string, string list) Hashtbl.t;  (* module name -> paths *)
+  global_index : (string, Summary.global) Hashtbl.t;  (* path, global *)
+  fx : (string, effects) Hashtbl.t;  (* path, fn -> effects *)
 }
 
 let key id = id.f_module ^ "." ^ id.f_fn
 
-let find_fn t id = Hashtbl.find_opt t.fn_index (key id)
+let fn_id (s : Summary.t) (f : Summary.fn) =
+  {
+    f_path = s.Summary.m_path;
+    f_module = s.Summary.m_name;
+    f_fn = f.Summary.fn_name;
+  }
 
-let find_global t ~m ~name = Hashtbl.find_opt t.global_index (m ^ "." ^ name)
+(* Table key of a name defined in the file at [path]. *)
+let slot path name = path ^ "\x00" ^ name
 
-let fn_effects t id = Hashtbl.find_opt t.fx (key id)
+let fn_effects t id = Hashtbl.find_opt t.fx (slot id.f_path id.f_fn)
 
-(* Resolve a call head in the context of [current].  Unqualified names
-   resolve in the current module; qualified paths scan right-to-left
-   for a component naming a known module that defines the last
-   component (so [Leopard_campaign.Pool.map] resolves through [Pool]
-   even though the wrapping library module is not a source file). *)
+(* The file module [m] names from [current]: the only file defining it,
+   or else the one in [current]'s directory. *)
+let file_of t ~(current : Summary.t) m =
+  match Hashtbl.find_opt t.files m with
+  | Some [ path ] -> Some path
+  | Some paths ->
+    let dir = Filename.dirname current.Summary.m_path in
+    List.find_opt (fun p -> String.equal (Filename.dirname p) dir) paths
+  | None -> None
+
+(* Resolve [name], qualified by [mods], from [current] through [find]:
+   unqualified names resolve in the current file; qualified paths scan
+   right-to-left for a component naming a file that defines [name] (so
+   [Leopard_campaign.Pool.map] resolves through [Pool] even though the
+   wrapping library module is not a source file). *)
+let resolve_in t ~(current : Summary.t) ~find mods name =
+  match mods with
+  | [] -> find current.Summary.m_name current.Summary.m_path name
+  | _ ->
+    List.find_map
+      (fun m ->
+        Option.bind (file_of t ~current m) (fun path -> find m path name))
+      (List.rev mods)
+
+let split_last parts =
+  match List.rev parts with
+  | name :: rev_mods -> Some (List.rev rev_mods, name)
+  | [] -> None
+
+(* Resolve a call head in the context of the [current] file. *)
 let resolve t ~current (h : Summary.head) =
+  let find m path fn =
+    if Hashtbl.mem t.fx (slot path fn) then
+      Some { f_path = path; f_module = m; f_fn = fn }
+    else None
+  in
   match h with
   | Summary.Hparam _ | Summary.Hdyn -> None
-  | Summary.Hpath [] -> None
-  | Summary.Hpath [ name ] ->
-    let id = { f_module = current; f_fn = name } in
-    if Hashtbl.mem t.fn_index (key id) then Some id else None
   | Summary.Hpath parts ->
-    let fn =
-      match List.rev parts with f :: _ -> f | [] -> assert false
-    in
-    let mods = match List.rev parts with _ :: ms -> ms | [] -> [] in
-    let rec scan = function
-      | [] -> None
-      | m :: rest ->
-        let id = { f_module = m; f_fn = fn } in
-        if Hashtbl.mem t.fn_index (key id) then Some id else scan rest
-    in
-    scan mods
+    Option.bind (split_last parts) (fun (mods, fn) ->
+        resolve_in t ~current ~find mods fn)
 
 (* Resolve a write target to its owning module-level global, if any.
    Unqualified names qualify when they are free (no binder) or when the
    summary marked them module-level ([t_global]). *)
 let resolve_global t ~current (tg : Summary.target) =
-  match tg.Summary.t_path with
-  | [ name ] when tg.Summary.t_binder = None || tg.Summary.t_global -> (
-    match find_global t ~m:current ~name with
-    | Some g -> Some (current, g)
-    | None -> None)
-  | parts -> (
-    match List.rev parts with
-    | name :: mods ->
-      let rec scan = function
-        | [] -> None
-        | m :: rest -> (
-          match find_global t ~m ~name with
-          | Some g -> Some (m, g)
-          | None -> scan rest)
-      in
-      scan mods
-    | [] -> None)
+  let find m path name =
+    Option.map
+      (fun g -> (m, g))
+      (Hashtbl.find_opt t.global_index (slot path name))
+  in
+  match split_last tg.Summary.t_path with
+  | Some ([], _) when not (tg.Summary.t_binder = None || tg.Summary.t_global)
+    ->
+    None
+  | Some (mods, name) -> resolve_in t ~current ~find mods name
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -137,35 +157,42 @@ let argv_taints_closure_calling (cl : Summary.closure) k =
 
 let build (summaries : Summary.t list) =
   let modules =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (List.map (fun (s : Summary.t) -> (s.Summary.m_name, s)) summaries)
+    List.stable_sort
+      (fun (a : Summary.t) (b : Summary.t) ->
+        String.compare a.Summary.m_name b.Summary.m_name)
+      summaries
   in
-  let fn_index = Hashtbl.create 256 in
-  let global_index = Hashtbl.create 64 in
-  let fx = Hashtbl.create 256 in
+  let t =
+    {
+      files = Hashtbl.create 64;
+      global_index = Hashtbl.create 64;
+      fx = Hashtbl.create 256;
+    }
+  in
   List.iter
-    (fun (m, (s : Summary.t)) ->
+    (fun (s : Summary.t) ->
+      let path = s.Summary.m_path in
+      let others =
+        Option.value ~default:[] (Hashtbl.find_opt t.files s.Summary.m_name)
+      in
+      Hashtbl.replace t.files s.Summary.m_name (path :: others);
       List.iter
         (fun (f : Summary.fn) ->
-          let k = m ^ "." ^ f.Summary.fn_name in
-          if not (Hashtbl.mem fn_index k) then Hashtbl.add fn_index k f;
-          Hashtbl.replace fx k
+          Hashtbl.replace t.fx (slot path f.Summary.fn_name)
             { ef_free = []; ef_param = []; ef_spawned = [] })
         s.Summary.m_fns;
       List.iter
         (fun (g : Summary.global) ->
-          Hashtbl.replace global_index (m ^ "." ^ g.Summary.g_name) g)
+          Hashtbl.replace t.global_index (slot path g.Summary.g_name) g)
         s.Summary.m_globals)
     modules;
-  let t = { modules; fn_index; global_index; fx; deps = [] } in
 
   (* --- seed direct effects ---------------------------------------- *)
   List.iter
-    (fun (m, (s : Summary.t)) ->
+    (fun (s : Summary.t) ->
       List.iter
         (fun (f : Summary.fn) ->
-          let id = { f_module = m; f_fn = f.Summary.fn_name } in
+          let id = fn_id s f in
           match fn_effects t id with
           | None -> ()
           | Some e ->
@@ -179,7 +206,7 @@ let build (summaries : Summary.t list) =
                       {
                         rw_write = w;
                         rw_via = via;
-                        rw_global = resolve_global t ~current:m tg;
+                        rw_global = resolve_global t ~current:s tg;
                       }
                     in
                     if not (rw_mem e.ef_free rw) then
@@ -231,16 +258,16 @@ let build (summaries : Summary.t list) =
     changed := false;
     incr rounds;
     List.iter
-      (fun (m, (s : Summary.t)) ->
+      (fun (s : Summary.t) ->
         List.iter
           (fun (f : Summary.fn) ->
-            let id = { f_module = m; f_fn = f.Summary.fn_name } in
+            let id = fn_id s f in
             match fn_effects t id with
             | None -> ()
             | Some e ->
               List.iter
                 (fun (c : Summary.call) ->
-                  match resolve t ~current:m c.Summary.c_head with
+                  match resolve t ~current:s c.Summary.c_head with
                   | None -> ()
                   | Some callee_id -> (
                     match fn_effects t callee_id with
@@ -270,7 +297,7 @@ let build (summaries : Summary.t list) =
                               {
                                 rw with
                                 rw_via = key id ^ " -> " ^ rw.rw_via;
-                                rw_global = resolve_global t ~current:m tg;
+                                rw_global = resolve_global t ~current:s tg;
                               }
                             in
                             if shared_free tg then begin
@@ -316,78 +343,4 @@ let build (summaries : Summary.t list) =
           s.Summary.m_fns)
       modules
   done;
-
-  (* --- module dependency edges ------------------------------------- *)
-  let dep_tbl = Hashtbl.create 64 in
-  let add_dep m m' =
-    if not (String.equal m m') then begin
-      let cur =
-        match Hashtbl.find_opt dep_tbl m with Some l -> l | None -> []
-      in
-      if not (List.mem m' cur) then Hashtbl.replace dep_tbl m (m' :: cur)
-    end
-  in
-  List.iter
-    (fun (m, (s : Summary.t)) ->
-      List.iter
-        (fun (f : Summary.fn) ->
-          List.iter
-            (fun (c : Summary.call) ->
-              match resolve t ~current:m c.Summary.c_head with
-              | Some id -> add_dep m id.f_module
-              | None -> ())
-            f.Summary.fn_body.Summary.cl_calls;
-          List.iter
-            (fun (w : Summary.write) ->
-              match
-                resolve_global t ~current:m w.Summary.w_target
-              with
-              | Some (owner, _) -> add_dep m owner
-              | None -> ())
-            f.Summary.fn_body.Summary.cl_writes)
-        s.Summary.m_fns)
-    modules;
-  t.deps <-
-    List.map
-      (fun (m, _) ->
-        let ds =
-          match Hashtbl.find_opt dep_tbl m with
-          | Some l -> List.sort String.compare l
-          | None -> []
-        in
-        (m, ds))
-      modules;
   t
-
-let module_deps t = t.deps
-
-(* Modules that (transitively) depend on any of [seeds]: the set whose
-   interprocedural findings may change when [seeds] change. *)
-let reverse_closure t seeds =
-  let rdeps = Hashtbl.create 64 in
-  List.iter
-    (fun (m, ds) ->
-      List.iter
-        (fun d ->
-          let cur =
-            match Hashtbl.find_opt rdeps d with Some l -> l | None -> []
-          in
-          Hashtbl.replace rdeps d (m :: cur))
-        ds)
-    t.deps;
-  let seen = Hashtbl.create 64 in
-  let rec go m =
-    if not (Hashtbl.mem seen m) then begin
-      Hashtbl.replace seen m ();
-      match Hashtbl.find_opt rdeps m with
-      | Some preds -> List.iter go preds
-      | None -> ()
-    end
-  in
-  List.iter go seeds;
-  let out =
-    List.filter_map
-      (fun (m, _) -> if Hashtbl.mem seen m then Some m else None)
-      t.deps
-  in
-  out

@@ -5,9 +5,9 @@
     them with compiler-libs, zone classification (overridable for
     fixtures), the two-phase interprocedural pipeline (per-module
     {!Summary} extraction, then {!Callgraph}-driven {!Race}/{!Taint}
-    evaluation), the digest-keyed summary cache behind incremental
-    re-lints, suppression filtering with stale-allow detection (S001),
-    and report aggregation. *)
+    evaluation), suppression filtering with stale-allow detection
+    (S001), and report aggregation.  Every entry point runs that one
+    pipeline over every file it is given. *)
 
 type file_result = {
   path : string;
@@ -37,7 +37,7 @@ type stage_timings = {
   t_taint : float;  (** P003 evaluation *)
   t_stale : float;  (** suppression filtering + S001 *)
 }
-(** Wall spent per stage, measured with the caller-provided clock
+(** Time spent per stage, measured with the caller-provided clock
     ([0.0] everywhere when no clock is injected — the analysis itself
     never reads the wall clock, per its own D002). *)
 
@@ -47,32 +47,18 @@ type summary = {
   suppressed_total : int;
   results : file_result list;  (** only files with findings or suppressions *)
   errors : (string * string) list;  (** unparsable files: path, diagnostic *)
-  reanalyzed : string list;
-      (** modules whose interprocedural raws were recomputed this run:
-          changed modules, their reverse dependencies, and cache
-          misses — sorted *)
-  cached : string list;  (** modules served entirely from the cache *)
   timings : stage_timings;
 }
 
 val lint_paths :
-  ?zone:Zone.t ->
-  ?cache_file:string ->
-  ?clock:(unit -> float) ->
-  string list ->
-  summary
-(** Lint a tree.  With [cache_file], per-module summaries and
-    interprocedural raws are loaded from / saved to that file keyed by
-    a digest of each file's source and zone: an unchanged module whose
-    forward dependencies are also unchanged is served from the cache
-    without reparsing, and only changed modules plus their reverse
-    dependency closure re-run the interprocedural passes.  [clock]
-    (e.g. [Util.Clock.cpu]) feeds {!stage_timings}. *)
+  ?zone:Zone.t -> ?clock:(unit -> float) -> string list -> summary
+(** Lint a tree: every [.ml] file under the given roots is read, parsed,
+    summarized, linked into one call graph, checked and filtered.
+    [clock] (e.g. [Util.Clock.cpu]) feeds {!stage_timings}. *)
 
 val pp_summary : summary Fmt.t
 (** Human report: one line per finding plus a tail line with totals. *)
 
 val json_summary : summary -> string
 (** The whole run as one JSON document (findings array + totals +
-    cache split + stage timings), the [LINT_report.json] artifact
-    format. *)
+    stage timings), the [LINT_report.json] artifact format. *)

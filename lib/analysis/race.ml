@@ -68,7 +68,7 @@ let contexts graph (m : Summary.t) =
         body.Summary.cl_spawns;
       List.iter
         (fun (c : Summary.call) ->
-          match Callgraph.resolve graph ~current:m.Summary.m_name c.Summary.c_head with
+          match Callgraph.resolve graph ~current:m c.Summary.c_head with
           | None -> ()
           | Some callee -> (
             match Callgraph.fn_effects graph callee with
@@ -125,7 +125,7 @@ let classify_write graph ~current cx (w : Summary.write) ~via =
             (site_str cx.cx_closure.Summary.cl_site) cx.cx_desc chain))
 
 let check graph (m : Summary.t) : Rules.raw list =
-  let current = m.Summary.m_name in
+  let current = m in
   let basename = Filename.basename m.Summary.m_path in
   let raws = ref [] in
   let emit = function

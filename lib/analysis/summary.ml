@@ -6,10 +6,9 @@
    argument structure to follow a captured table into a helper two
    modules away), and every [Domain.spawn]-shaped site.  The race and
    taint passes (race.ml, taint.ml) evaluate the P rules purely from
-   these summaries plus the cross-module call graph (callgraph.ml) — no
-   reparse — which is what makes the summary cache (driver.ml) sound:
-   a module whose digest is unchanged contributes the same summary, so
-   only changed modules and their reverse dependencies re-analyze.
+   these summaries plus the cross-module call graph (callgraph.ml), so
+   a summary must carry every fact those rules read: nothing downstream
+   looks at the parsetree again.
 
    Everything here is syntactic.  Where typing would be needed the
    summary over-approximates in a direction each rule documents, and

@@ -4,6 +4,7 @@ module Sim = Minidb.Sim
 module Wal = Minidb.Wal
 module Wire = Leopard_net.Wire
 module Faulty_link = Leopard_net.Faulty_link
+module Rng = Leopard_util.Rng
 
 (* A shard group: the key space hash-range-partitioned across N
    participants, with a 2PC coordinator co-located with the engine.
@@ -71,21 +72,16 @@ let config ?(shards = 2) ?(hop_ns = 0) ?(link = Faulty_link.disabled)
     wal_faults;
   }
 
-(* SplitMix64 finalizer — a deterministic, well-mixed hash that is part
-   of the partitioning contract (unlike [Hashtbl.hash], which is
-   runtime-dependent and lint-banned).  The top 16 bits place the row
-   on a 65536-point ring split into [shards] contiguous ranges. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
+(* The SplitMix64 finalizer ([Rng.mix64]) is a deterministic,
+   well-mixed hash that is part of the partitioning contract (unlike
+   [Hashtbl.hash], which is runtime-dependent and lint-banned).  The top
+   16 bits place the row on a 65536-point ring split into [shards]
+   contiguous ranges. *)
 let shard_of_row ~shards (table, row) =
   let packed =
     Int64.logxor (Int64.shift_left (Int64.of_int table) 32) (Int64.of_int row)
   in
-  let point = Int64.to_int (Int64.shift_right_logical (mix64 packed) 48) in
+  let point = Int64.to_int (Int64.shift_right_logical (Rng.mix64 packed) 48) in
   point * shards / 65536
 
 (* Row-key granularity: a row's columns co-locate, so the engine's

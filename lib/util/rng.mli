@@ -36,6 +36,11 @@ val derive : seed:int -> index:int -> int
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val mix64 : int64 -> int64
+(** The SplitMix64 finalizer, a pure bijective 64-bit hash: every output
+    is [mix64] of a generator state, and [Leopard_shard.Group] hashes
+    rows onto its ring with it, so changing it moves recorded rows. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 

@@ -595,8 +595,17 @@ let test_placement_is_total_and_stable () =
            (Leopard_trace.Cell.make ~table:0 ~row ~col:3))
     done
   done;
-  Alcotest.(check int) "pinned: (0,0) on 2" (Group.shard_of_row ~shards:2 (0, 0))
-    (Group.shard_of_row ~shards:2 (0, 0));
+  List.iter
+    (fun (shards, pinned) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "pinned: rows 0-15 of table 0 on %d shards" shards)
+        pinned
+        (List.init 16 (fun row -> Group.shard_of_row ~shards (0, row))))
+    [
+      (2, [ 0; 0; 1; 0; 1; 1; 1; 0; 1; 1; 0; 0; 0; 1; 0; 0 ]);
+      (3, [ 0; 1; 2; 0; 2; 2; 2; 0; 2; 1; 0; 0; 0; 2; 0; 0 ]);
+      (8, [ 0; 2; 6; 0; 5; 5; 6; 0; 6; 4; 0; 1; 1; 6; 1; 0 ]);
+    ];
   Alcotest.(check bool) "both shards inhabited" true
     (let s = List.init 100 (fun r -> Group.shard_of_row ~shards:2 (0, r)) in
      List.mem 0 s && List.mem 1 s)
