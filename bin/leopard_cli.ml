@@ -8,9 +8,16 @@
 
 module Cli_validate = Leopard_harness.Cli_validate
 module Flags = Leopard_harness.Flags
+module Marks = Leopard_harness.Marks
+module Session = Leopard_harness.Session
 
-let print_inference ~dbms traces =
-  let verdicts = Leopard.Level_inference.infer ~dbms traces in
+(* Inference checkers get the marks the verifying session gets. *)
+let print_inference ~dbms marks (stream : Session.stream) =
+  let verdicts =
+    Leopard.Level_inference.infer ~dbms
+      ~mark:(fun checker -> Marks.apply checker marks)
+      stream.iter
+  in
   if verdicts = [] then
     Printf.printf "inference: no profiles known for dbms %s\n" dbms
   else begin
@@ -64,50 +71,58 @@ let print_truncation (report : Leopard.Checker.report) =
     report.truncations report.truncated_deps report.peak_live
 
 (* Verify a previously recorded trace file (see Leopard_trace.Codec)
-   through one sorted-source session.  [kill_after] is the crash drill:
-   SIGKILL (no cleanup) right after trace N, so CI can prove kill +
-   resume reproduces the uninterrupted verdict byte-for-byte. *)
+   through one sorted-source session.  A strict check streams the file
+   in recorded order ([Session.file_stream]); [--lenient] loads and
+   sorts it in memory.  [kill_after] is the crash drill: SIGKILL (no
+   cleanup) right after trace N, so CI can prove kill + resume
+   reproduces the uninterrupted verdict byte-for-byte. *)
 let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
     ~resume ~kill_after path =
-  let contents, skipped =
+  let contents, skipped, stream =
     match
-      if lenient then Ok (Leopard_trace.Codec.load_lenient_all ~path)
-      else Result.map (fun c -> (c, [])) (Leopard_trace.Codec.load_all ~path)
+      if lenient then
+        let contents, skipped = Leopard_trace.Codec.load_lenient_all ~path in
+        Ok
+          ( contents,
+            skipped,
+            Session.list_stream
+              (List.sort Leopard_trace.Trace.compare_by_bef contents.c_traces)
+          )
+      else
+        Result.map
+          (fun (markers, stream) -> (markers, [], stream))
+          (Session.file_stream ~path)
     with
     | Ok loaded -> loaded
     | Error e | (exception Sys_error e) -> file_error "load" path e
   in
-  let marks =
-    Leopard_harness.Marks.of_codec contents ~skipped:(List.length skipped)
-  in
+  let loading f = try f () with Session.Bad_line e -> file_error "load" path e in
+  let marks = Marks.of_codec contents ~skipped:(List.length skipped) in
   let shards = contents.Leopard_trace.Codec.c_shards in
   let rounds = List.length contents.c_prepares in
-  let sorted = List.sort Leopard_trace.Trace.compare_by_bef contents.c_traces in
-  if infer then print_inference ~dbms sorted;
-  let total = List.length sorted in
+  if infer then loading (fun () -> print_inference ~dbms marks stream);
   let cpu0 = Leopard_util.Clock.cpu () in
   let verified =
-    writing checkpoint (fun () ->
-        Leopard_harness.Session.verify ~gc_watermark ?checkpoint ~resume
-          ~file:path
-          ~after_trace:(fun n ->
-            if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
-          il marks (Leopard_harness.Session.Sorted sorted))
+    loading (fun () ->
+        writing checkpoint (fun () ->
+            Session.verify ~gc_watermark ?checkpoint ~resume ~file:path
+              ~after_trace:(fun n ->
+                if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
+              il marks (Session.Sorted stream)))
   in
   let cpu = Leopard_util.Clock.cpu () -. cpu0 in
-  List.iter prerr_endline verified.Leopard_harness.Session.warnings;
+  List.iter prerr_endline verified.Session.warnings;
   Option.iter
     (fun cursor ->
-      Printf.printf "resumed  : trace %d/%d from checkpoint\n" cursor total)
-    verified.Leopard_harness.Session.resumed_at;
-  let report = verified.Leopard_harness.Session.report in
+      Printf.printf "resumed  : trace %d/%d from checkpoint\n" cursor
+        stream.total)
+    verified.Session.resumed_at;
+  let report = verified.Session.report in
   Printf.printf "checked  : %s — %d traces, %d committed txns, %.1f ms cpu\n"
     path report.traces report.committed (cpu *. 1e3);
   if gc_watermark > 0 then print_truncation report;
   let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
-  let { Leopard_harness.Marks.epochs; ambiguous; leaders; coord_ambiguous; _ } =
-    marks
-  in
+  let { Marks.epochs; ambiguous; leaders; coord_ambiguous; _ } = marks in
   if epochs <> [] then
     Printf.printf "recovery : trace spans %d server restart(s), %d wal \
                    record(s) damaged\n"
@@ -267,10 +282,10 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
   let cpu0 = Leopard_util.Clock.cpu () in
   let verified =
     writing checkpoint (fun () ->
-        Leopard_harness.Session.of_outcome ~gc_watermark ?checkpoint il outcome)
+        Session.of_outcome ~gc_watermark ?checkpoint il outcome)
   in
   let cpu = Leopard_util.Clock.cpu () -. cpu0 in
-  let report = verified.Leopard_harness.Session.report in
+  let report = verified.Session.report in
   header outcome;
   if Option.is_some chaos then
     Printf.printf
@@ -285,16 +300,17 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
     "verifier : %d traces, %d reads checked, %d deps deduced, %.1f ms cpu\n"
     report.traces report.reads_checked report.deps_deduced (cpu *. 1e3);
   Printf.printf "memory   : peak %d mirrored entries (pipeline peak %d)\n"
-    report.peak_live verified.Leopard_harness.Session.pipeline_peak;
+    report.peak_live verified.Session.pipeline_peak;
   if gc_watermark > 0 then print_truncation report;
   print_string (Leopard.Report_pp.degradation_line report.degradation);
   (match record with
   | Some path ->
-    writing record (fun () -> Leopard_harness.Marks.record ~path outcome);
+    writing record (fun () -> Marks.record ~path outcome);
     Printf.printf "recorded : %s (%d traces)\n" path report.traces
   | None -> ());
   if infer then
-    print_inference ~dbms (Leopard_harness.Run.all_traces_sorted outcome);
+    print_inference ~dbms (Marks.of_outcome outcome)
+      (Session.list_stream (Leopard_harness.Run.all_traces_sorted outcome));
   finish ~show_bugs report
 
 (* The CLI's own flags are checked here; the workload and fault-plane

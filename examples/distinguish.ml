@@ -30,7 +30,13 @@ let () =
   Printf.printf "  (%d committed, %d aborted — no faults injected)\n\n"
     outcome.commits outcome.aborts;
   let traces = Leopard_harness.Run.all_traces_sorted outcome in
-  let verdicts = Leopard.Level_inference.infer ~dbms:"postgresql" traces in
+  let verdicts =
+    Leopard.Level_inference.infer ~dbms:"postgresql"
+      ~mark:(fun checker ->
+        Leopard_harness.Marks.apply checker
+          (Leopard_harness.Marks.of_outcome outcome))
+      (fun feed -> List.iter feed traces)
+  in
   print_endline "which postgresql isolation claims does this history support?";
   Format.printf "%a" Leopard.Level_inference.pp_verdicts verdicts;
   (match Leopard.Level_inference.strongest_passed verdicts with

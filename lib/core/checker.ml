@@ -1317,6 +1317,7 @@ let degradation t =
   }
 
 let report t =
+  let live = live_size t in
   {
     traces = t.traces;
     committed = t.committed;
@@ -1337,8 +1338,10 @@ let report t =
            if n = 0 then None else Some (s, n))
          Dep.all_sources);
     reads_checked = t.reads_checked;
-    peak_live = t.peak_live;
-    final_live = live_size t;
+    (* [feed] samples the peak after each trace; [finalize]'s flush
+       comes after the last sample *)
+    peak_live = max t.peak_live live;
+    final_live = live;
     pruned_versions = t.pruned_versions;
     pruned_locks = t.pruned_locks;
     pruned_fuw = t.pruned_fuw;

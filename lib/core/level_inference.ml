@@ -25,11 +25,20 @@ let strength (p : Il_profile.t) =
     | "SR" -> 4
     | _ -> 0)
 
-let infer ~dbms traces =
+let infer ~dbms ?(mark = ignore) iter =
+  let checkers =
+    List.map
+      (fun profile ->
+        let checker = Checker.create ~relaxed_reads:true profile in
+        mark checker;
+        (profile, checker))
+      (List.sort
+         (fun a b -> Int.compare (strength a) (strength b))
+         (profiles_of_dbms dbms))
+  in
+  iter (fun trace -> List.iter (fun (_, c) -> Checker.feed c trace) checkers);
   List.map
-    (fun profile ->
-      let checker = Checker.create ~relaxed_reads:true profile in
-      List.iter (Checker.feed checker) traces;
+    (fun (profile, checker) ->
       Checker.finalize checker;
       let report = Checker.report checker in
       let violating_mechanisms =
@@ -44,9 +53,7 @@ let infer ~dbms traces =
         violations = report.Checker.bugs_total;
         violating_mechanisms;
       })
-    (List.sort
-       (fun a b -> Int.compare (strength a) (strength b))
-       (profiles_of_dbms dbms))
+    checkers
 
 let strongest_passed verdicts =
   List.fold_left

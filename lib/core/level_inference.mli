@@ -8,9 +8,10 @@
     passes `postgresql/SI` but fails `postgresql/SR`, whose certifier
     check would have had to abort it.
 
-    Inference replays the same trace list against every profile of the
-    given DBMS (cheap: verification is linear), so it wants a complete,
-    sorted history — use it offline or at the end of a run.
+    Inference replays one history against every profile of the given
+    DBMS, feeding each trace to every profile in one pass (cheap:
+    verification is linear), so it wants a complete, sorted history —
+    use it offline or at the end of a run.
 
     Profiles are checked in {e claim-compatibility} mode
     ({!Checker.create}'s [relaxed_reads]): behaviour stronger than a
@@ -26,10 +27,19 @@ type verdict = {
 }
 
 val infer :
-  dbms:string -> Leopard_trace.Trace.t list -> verdict list
-(** One verdict per profile of [dbms] (profiles named ["dbms/LEVEL"]),
-    in {!Il_profile.all} order.  Traces must be globally sorted by
-    [ts_bef].  Returns [] for an unknown DBMS. *)
+  dbms:string ->
+  ?mark:(Checker.t -> unit) ->
+  ((Leopard_trace.Trace.t -> unit) -> unit) ->
+  verdict list
+(** [infer ~dbms ~mark iter]: one verdict per profile of [dbms]
+    (profiles named ["dbms/LEVEL"]), weakest first.  [mark] runs on each
+    profile's checker before the first trace and should apply the
+    history's marks as every verifying session does
+    ([Harness.Marks.apply]): without them a commit with an unknown
+    outcome stays active, its writes never install, and a read of one
+    looks like a violation.  The default applies none, which suits a
+    fault-free history.  [iter feed] must feed the history once,
+    globally sorted by [ts_bef].  Returns [] for an unknown DBMS. *)
 
 val strongest_passed : verdict list -> Il_profile.t option
 (** The last passing profile in the conventional RC < RR < SI < SR

@@ -1,6 +1,7 @@
 module Checker = Leopard.Checker
 module Pipeline = Leopard.Pipeline
 module Ckpt = Leopard_trace.Ckpt
+module Codec = Leopard_trace.Codec
 module Fields = Leopard_trace.Fields
 module Trace = Leopard_trace.Trace
 
@@ -13,7 +14,45 @@ let fingerprint ~(il : Leopard.Il_profile.t) ~gc_every ~gc_watermark file =
     :: Option.to_list
          (Option.map (fun path -> Digest.to_hex (Digest.file path)) file))
 
-type source = Sorted of Trace.t list | Pipeline of Pipeline.t
+type stream = { total : int; iter : (Trace.t -> unit) -> unit }
+type source = Sorted of stream | Pipeline of Pipeline.t
+
+let list_stream traces =
+  { total = List.length traces; iter = (fun feed -> List.iter feed traces) }
+
+exception Bad_line of string
+
+let bad_line lineno e = raise (Bad_line (Printf.sprintf "line %d: %s" lineno e))
+
+(* Pass 2 decodes what pass 1 only counted and feeds each trace at once;
+   it keeps only the previous trace and its line. *)
+let file_stream ~path =
+  Result.map
+    (fun (markers, total) ->
+      let iter feed =
+        ignore
+          (Codec.fold ~path
+             ~bad:bad_line
+             (fun lineno entry prev ->
+               match (entry, prev) with
+               | Codec.Trace t, Some (p, p_line)
+                 when Trace.compare_by_bef t p < 0 ->
+                 bad_line lineno
+                   (Printf.sprintf
+                      "trace out of recorded order (it sorts before the \
+                       trace on line %d); --lenient sorts the file in memory"
+                      p_line)
+               | Codec.Trace t, _ ->
+                 feed t;
+                 Some (t, lineno)
+               | (Epoch _ | Ambiguous _ | Leader _ | Shard _ | Prepare _), _
+                 ->
+                 (* pass 1 read the markers *)
+                 prev)
+             None)
+      in
+      (markers, { total; iter }))
+    (Codec.load_markers ~path)
 
 type result = {
   report : Checker.report;
@@ -132,8 +171,7 @@ let verify ?(gc_every = 512) ?(gc_watermark = 0) ?checkpoint ?(resume = false)
   let cursor = match source with Sorted _ -> true | Pipeline _ -> false in
   let restored, warnings =
     match (ckpt, source) with
-    | Some c, Sorted traces when resume ->
-      restore ~gc_every il c ~total:(List.length traces)
+    | Some c, Sorted s when resume -> restore ~gc_every il c ~total:s.total
     | Some _, Pipeline _ when resume ->
       invalid_arg "Session.verify: only a sorted source can resume"
     | _ -> (None, [])
@@ -155,12 +193,12 @@ let verify ?(gc_every = 512) ?(gc_watermark = 0) ?checkpoint ?(resume = false)
     feed t trace;
     after_trace t.fed
   in
-  (* Nothing holds the head of a sorted list while it is fed, so a fed
-     prefix can be collected. *)
   let pipeline_peak =
     match source with
-    | Sorted traces ->
-      List.iteri (fun i trace -> if i >= start then step trace) traces;
+    | Sorted s ->
+      (* a resume reads past the prefix its snapshot covers *)
+      let skip = ref start in
+      s.iter (fun trace -> if !skip > 0 then decr skip else step trace);
       0
     | Pipeline p ->
       ignore (Pipeline.drain p ~f:step);

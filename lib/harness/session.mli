@@ -16,7 +16,9 @@
 
     Marks land before the traces they govern: an offline session applies
     them all before its first trace, a live one in the round they
-    appear.
+    appear.  So a trace file is read twice ({!file_stream}): once for
+    its marks, whose failover lines can name commits traced before them,
+    and once to stream its traces.
 
     {b Truncation.}  With [gc_watermark = N > 0] an offline session
     truncates after every N-th trace at that trace's [ts_bef] (the
@@ -33,9 +35,36 @@
     trace file, a digest of the whole file, read only when a checkpoint
     is named: a checkpoint never resumes against different input. *)
 
+type stream = {
+  total : int;  (** how many traces [iter] feeds *)
+  iter : (Leopard_trace.Trace.t -> unit) -> unit;
+      (** [iter feed] feeds every trace, in [ts_bef] order *)
+}
+(** One globally sorted trace stream. *)
+
 type source =
-  | Sorted of Leopard_trace.Trace.t list  (** one globally sorted stream *)
+  | Sorted of stream
   | Pipeline of Leopard.Pipeline.t  (** per-client streams, merged *)
+
+val list_stream : Leopard_trace.Trace.t list -> stream
+(** A list already sorted by [ts_bef]. *)
+
+exception Bad_line of string
+(** ["line N: diagnostic"]: a file stream met a line it cannot feed. *)
+
+val file_stream :
+  path:string -> (Leopard_trace.Codec.contents * stream, string) result
+(** A strict check's two passes over the trace file at [path], holding
+    no trace longer than its turn.  Pass 1 runs now
+    ({!Leopard_trace.Codec.load_markers}): the file's markers, for
+    {!Marks.of_codec}, and a stream whose [total] counts the trace lines
+    without decoding them.  Pass 2 is the stream's [iter]: it decodes
+    each trace line in file order and feeds it at once.  [iter] raises
+    {!Bad_line} at a malformed trace line, and at a trace that sorts
+    before its predecessor ({!Leopard_trace.Trace.compare_by_bef}), so
+    it feeds exactly what a stable sort of the file would; [--record]
+    writes files in that order.  [Error "line N: …"] for any other
+    malformed line; raises [Sys_error] if the file cannot be opened. *)
 
 type result = {
   report : Leopard.Checker.report;
@@ -56,10 +85,11 @@ val verify :
   source ->
   result
 (** Verify a complete source.  [resume] restores the newest checkpoint
-    frame that validates and skips the traces its cursor counts (the
-    snapshot already carries the marks); a missing, foreign or damaged
-    checkpoint warns and starts fresh, with the same verdict.  [file]
-    names the trace file a [Sorted] source was read from.
+    frame that validates and reads past the traces its cursor counts,
+    neither feeding nor keeping them (the snapshot already carries the
+    marks); a missing, foreign or damaged checkpoint warns and starts
+    fresh, with the same verdict.  [file] names the trace file a
+    [Sorted] source was read from.
     [after_trace n] runs once the [n]-th trace and any cut it triggers
     are done.  Raises [Invalid_argument] on a checkpoint without
     [gc_watermark] or a resumed [Pipeline]. *)

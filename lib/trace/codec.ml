@@ -296,8 +296,13 @@ let empty_contents =
     c_prepares = [];
   }
 
-let add_entry acc = function
-  | Trace t -> { acc with c_traces = t :: acc.c_traces }
+(* Markers are few, so one may copy the record; a trace goes on its own
+   list and copies nothing. *)
+let add_entry traces _lineno entry acc =
+  match entry with
+  | Trace t ->
+    traces := t :: !traces;
+    acc
   | Epoch m -> { acc with c_epochs = m :: acc.c_epochs }
   | Ambiguous m -> { acc with c_ambiguous = m :: acc.c_ambiguous }
   | Leader m -> { acc with c_leaders = m :: acc.c_leaders }
@@ -314,38 +319,69 @@ let rev_contents acc =
     c_prepares = List.rev acc.c_prepares;
   }
 
-(* The one line loop behind both readers.  [bad] sees each undecodable
-   line's 1-based number and diagnostic: the strict reader raises out of
-   the loop, the lenient one records the line and reads on.  Only a bad
-   line calls [bad], so a good line costs its decode and nothing more. *)
-let read ~path ~bad =
+(* Whether [entry_of_line] would decode [line] as a trace: its first
+   field is R, W, C or A. *)
+let is_trace_line line =
+  let l = String.trim line in
+  l <> ""
+  && (match l.[0] with 'R' | 'W' | 'C' | 'A' -> true | _ -> false)
+  && (String.length l = 1 || l.[1] = ' ')
+
+(* The one line loop.  [f] sees each entry and [bad] each line that does
+   not decode, both with its 1-based number: the strict readers raise out
+   of the loop, the lenient one records the line and reads on.  With
+   [trace_line], a trace line is recognised by its tag and not decoded:
+   it only calls [trace_line]. *)
+let lines ~path ?trace_line ~bad f init =
   In_channel.with_open_text path (fun ic ->
       let rec go acc lineno =
         match input_line ic with
-        | exception End_of_file -> rev_contents acc
-        | line -> (
-          match entry_of_line line with
-          | Ok (Some entry) -> go (add_entry acc entry) (lineno + 1)
-          | Ok None -> go acc (lineno + 1)
-          | Error e ->
-            bad lineno e;
-            go acc (lineno + 1))
+        | exception End_of_file -> acc
+        | line ->
+          let acc =
+            match trace_line with
+            | Some count when is_trace_line line ->
+              count ();
+              acc
+            | _ -> (
+              match entry_of_line line with
+              | Ok (Some entry) -> f lineno entry acc
+              | Ok None -> acc
+              | Error e ->
+                bad lineno e;
+                acc)
+          in
+          go acc (lineno + 1)
       in
-      go empty_contents 1)
+      go init 1)
+
+let fold ~path ~bad f init = lines ~path ~bad f init
+
+let load ~path ?trace_line ~bad () =
+  let traces = ref [] in
+  let acc = lines ~path ?trace_line ~bad (add_entry traces) empty_contents in
+  rev_contents { acc with c_traces = !traces }
 
 exception Bad_line of string
 
+let fail lineno e = raise (Bad_line (Printf.sprintf "line %d: %s" lineno e))
+
 let load_all ~path =
-  match
-    read ~path ~bad:(fun lineno e ->
-        raise (Bad_line (Printf.sprintf "line %d: %s" lineno e)))
-  with
+  match load ~path ~bad:fail () with
   | contents -> Ok contents
+  | exception Bad_line e -> Error e
+
+let load_markers ~path =
+  let traces = ref 0 in
+  match
+    load ~path ~trace_line:(fun () -> incr traces) ~bad:fail ()
+  with
+  | markers -> Ok (markers, !traces)
   | exception Bad_line e -> Error e
 
 let load_lenient_all ~path =
   let skipped = ref [] in
   let contents =
-    read ~path ~bad:(fun lineno e -> skipped := (lineno, e) :: !skipped)
+    load ~path ~bad:(fun lineno e -> skipped := (lineno, e) :: !skipped) ()
   in
   (contents, List.rev !skipped)

@@ -77,8 +77,9 @@
     [Checker.mark_coord_ambiguous] before the traces.
 
     All marker kinds sort chronologically with the traces.  One writer
-    ({!save_ext}) produces the format and one line loop reads it, behind
-    a strict ({!load_all}) and a lenient ({!load_lenient_all}) reader. *)
+    ({!save_ext}) produces the format and one line loop reads it: the
+    streaming {!fold}, and behind it a strict ({!load_all}), a lenient
+    ({!load_lenient_all}) and a markers-only ({!load_markers}) reader. *)
 
 val header : string
 (** The recommended first line, ["# leopard-trace v1"]. *)
@@ -177,6 +178,19 @@ type contents = {
 }
 (** Everything a trace file can carry, each kind in file order. *)
 
+val fold :
+  path:string ->
+  bad:(int -> string -> unit) ->
+  (int -> entry -> 'a -> 'a) ->
+  'a ->
+  'a
+(** [fold ~path ~bad f init] streams the file: [f lineno entry acc] for
+    each entry in file order, [bad lineno diagnostic] for each line that
+    does not decode; comments and blank lines reach neither.  Line
+    numbers are 1-based.  Raise out of [f] or [bad] to stop early.  Holds
+    one line at a time.  Raises [Sys_error] if the file cannot be
+    opened. *)
+
 val load_all : path:string -> (contents, string) result
 (** Every entry of the file; the first malformed line fails the whole
     load with ["line N: diagnostic"] (1-based).  Raises [Sys_error] if
@@ -190,3 +204,11 @@ val load_lenient_all : path:string -> contents * (int * string) list
     skipped count to [Checker.note_lost_traces] so the verdict degrades
     to [Inconclusive] rather than silently "verifying" a partial
     history. *)
+
+val load_markers : path:string -> (contents * int, string) result
+(** Every marker of the file ([c_traces] is empty) and the number of its
+    trace lines.  A trace line — one whose first field is [R], [W], [C]
+    or [A] — is recognised by that tag and counted, not decoded, so a
+    malformed one is left for a reader that decodes it; any other
+    malformed line fails the load like {!load_all}.  Raises [Sys_error]
+    if the file cannot be opened. *)

@@ -390,7 +390,7 @@ let test_checkpoint_kinds_refuse_each_other () =
   let v =
     H.Session.verify ~gc_watermark:100 ~checkpoint:campaign_ck ~resume:true
       ~file:trace il (H.Marks.of_outcome run)
-      (H.Session.Sorted (H.Run.all_traces_sorted run))
+      (H.Session.Sorted (H.Session.list_stream (H.Run.all_traces_sorted run)))
   in
   Alcotest.(check bool) "campaign checkpoint: not resumed" true
     (v.H.Session.resumed_at = None);

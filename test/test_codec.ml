@@ -147,6 +147,36 @@ let test_lenient_truncated_tail () =
         (List.length c.c_traces);
       Alcotest.(check int) "torn line reported" 1 (List.length skipped))
 
+(* The markers pass decodes every line but the trace lines, which it
+   counts by their tag: a malformed trace line is left for the pass that
+   decodes it, a malformed marker fails here. *)
+let test_load_markers_counts_trace_lines () =
+  let path = Filename.temp_file "leopard" ".trace" in
+  let write text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let body =
+        "# header\nS 0 2\nC 1 2 3 4\n  W 5 6 3 4 0.0.0=1\nC corrupted\n\
+         U 7 3 4\nR\n\nA x 9 3 4\n"
+      in
+      write body;
+      (match Codec.load_markers ~path with
+      | Error e -> Alcotest.failf "markers pass failed: %s" e
+      | Ok (m, traces) ->
+        Alcotest.(check int) "trace lines counted" 5 traces;
+        Alcotest.(check int) "no trace decoded" 0 (List.length m.c_traces);
+        Alcotest.(check int) "shard marker" 1 (List.length m.c_shards);
+        Alcotest.(check int) "ambiguous marker" 1 (List.length m.c_ambiguous));
+      write (body ^ "U x 3 4\n");
+      Alcotest.(check (result unit string)) "malformed marker"
+        (Error "line 10: bad integer field")
+        (Result.map ignore (Codec.load_markers ~path)))
+
 let gen_trace =
   QCheck.Gen.(
     let cell =
@@ -452,5 +482,7 @@ let suite =
       test_lenient_clean_file_equals_strict;
     Alcotest.test_case "lenient load survives truncated tail" `Quick
       test_lenient_truncated_tail;
+    Alcotest.test_case "markers pass counts trace lines undecoded" `Quick
+      test_load_markers_counts_trace_lines;
     Helpers.qtest prop_roundtrip;
   ]

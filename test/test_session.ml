@@ -167,18 +167,27 @@ let report_digest (r : Leopard.Checker.report) =
 
 let test_run_equals_recording () =
   let il = Il.postgresql_si in
+  let kinds = Hashtbl.create 5 in
   List.iter
     (fun (name, config) ->
       for seed = 1 to 3 do
         let outcome = H.Run.execute (config seed) in
         let path = Filename.temp_file "leopard_session" ".trace" in
         H.Marks.record ~path outcome;
-        let contents =
-          match Leopard_trace.Codec.load_all ~path with
+        let reloaded what = function
           | Ok c -> c
-          | Error e -> Alcotest.failf "%s seed %d: reload failed: %s" name seed e
+          | Error e ->
+            Alcotest.failf "%s seed %d: %s failed: %s" name seed what e
         in
-        Sys.remove path;
+        let contents = reloaded "reload" (Leopard_trace.Codec.load_all ~path) in
+        let markers, stream =
+          reloaded "file_stream" (H.Session.file_stream ~path)
+        in
+        List.iter
+          (fun (kind, present) -> if present then Hashtbl.replace kinds kind ())
+          [ ("E", markers.c_epochs <> []); ("U", markers.c_ambiguous <> []);
+            ("L", markers.c_leaders <> []); ("S", markers.c_shards <> []);
+            ("P", markers.c_prepares <> []) ];
         List.iter
           (fun gc_watermark ->
             let of_run = H.Session.of_outcome ~gc_watermark il outcome in
@@ -186,17 +195,32 @@ let test_run_equals_recording () =
               H.Session.verify ~gc_watermark il
                 (H.Marks.of_codec contents ~skipped:0)
                 (H.Session.Sorted
-                   (List.sort Leopard_trace.Trace.compare_by_bef
-                      contents.c_traces))
+                   (H.Session.list_stream
+                      (List.sort Leopard_trace.Trace.compare_by_bef
+                         contents.c_traces)))
             in
-            Alcotest.(check string)
-              (Printf.sprintf "%s seed %d gc %d: same report" name seed
-                 gc_watermark)
+            let streamed =
+              H.Session.verify ~gc_watermark il
+                (H.Marks.of_codec markers ~skipped:0)
+                (H.Session.Sorted stream)
+            in
+            let what side =
+              Printf.sprintf "%s seed %d gc %d: %s, same report" name seed
+                gc_watermark side
+            in
+            Alcotest.(check string) (what "sorted file")
               (report_digest of_run.report)
-              (report_digest of_file.report))
-          [ 0; 97 ]
+              (report_digest of_file.report);
+            Alcotest.(check string) (what "streamed file")
+              (report_digest of_run.report)
+              (report_digest streamed.report))
+          [ 0; 97 ];
+        Sys.remove path
       done)
-    presets
+    presets;
+  Alcotest.(check (list string)) "the presets carry every marker kind"
+    [ "E"; "L"; "P"; "S"; "U" ]
+    (List.sort String.compare (List.of_seq (Hashtbl.to_seq_keys kinds)))
 
 (* A failover can mark lost a commit the live monitor already
    dispatched, so those runs verify offline only. *)
@@ -355,6 +379,108 @@ let test_fingerprint_binds_whole_file () =
   Sys.remove trace;
   Sys.remove ck
 
+(* --- a strict check streams the file in recorded order -------------- *)
+
+let write_lines path lines =
+  let oc = open_out_bin path in
+  output_string oc (String.concat "\n" (Array.to_list lines));
+  close_out oc
+
+let ts_bef line =
+  match Leopard_trace.Codec.of_line line with
+  | Ok (Some (t : Leopard_trace.Trace.t)) -> Some t.ts_bef
+  | _ -> None
+
+(* Two adjacent trace lines swapped: the strict stream stops at the later
+   line, where sorting the whole file used to hide the swap; --lenient
+   still sorts it back to the recorded report. *)
+let test_check_needs_recorded_order () =
+  let trace = Filename.temp_file "leopard_session" ".trace" in
+  check_exit "record" 0 (run_cli (smallbank_si @ [ "--record"; trace ]));
+  let check extra =
+    run_cli ([ "--check"; trace; "-d"; "postgresql"; "-i"; "SI" ] @ extra)
+  in
+  let ((_, recorded) as res) = check [] in
+  check_exit "recorded order" 0 res;
+  let lines = Array.of_list (String.split_on_char '\n' (read_file trace)) in
+  let rec swappable i =
+    match (ts_bef lines.(i), ts_bef lines.(i + 1)) with
+    | Some a, Some b when a <> b -> i
+    | _ -> swappable (i + 1)
+  in
+  let i = swappable (Array.length lines / 2) in
+  let first = lines.(i) in
+  lines.(i) <- lines.(i + 1);
+  lines.(i + 1) <- first;
+  write_lines trace lines;
+  let ((_, text) as res) = check [] in
+  check_exit "swapped" 2 res;
+  Alcotest.(check string) "names the later line"
+    (Printf.sprintf
+       "cannot load %s: line %d: trace out of recorded order (it sorts \
+        before the trace on line %d); --lenient sorts the file in memory\n"
+       trace (i + 2) (i + 1))
+    text;
+  let ((_, lenient) as res) = check [ "--lenient" ] in
+  check_exit "lenient" 0 res;
+  Alcotest.(check string) "--lenient sorts it back" (flat recorded)
+    (flat lenient);
+  Sys.remove trace
+
+(* A malformed trace line in mid-file stops the stream when it gets
+   there, with the same one line a whole-file load printed. *)
+let test_check_bad_trace_line () =
+  let trace = Filename.temp_file "leopard_session" ".trace" in
+  check_exit "record" 0 (run_cli (smallbank_si @ [ "--record"; trace ]));
+  let lines = Array.of_list (String.split_on_char '\n' (read_file trace)) in
+  let rec trace_line i =
+    if ts_bef lines.(i) <> None then i else trace_line (i + 1)
+  in
+  let i = trace_line (Array.length lines / 2) in
+  lines.(i) <- "C corrupted";
+  write_lines trace lines;
+  let ((_, text) as res) =
+    run_cli
+      [ "--check"; trace; "-d"; "postgresql"; "-i"; "SI"; "--gc-watermark";
+        "100" ]
+  in
+  check_exit "bad line" 2 res;
+  Alcotest.(check string) "one line naming it"
+    (Printf.sprintf "cannot load %s: line %d: unrecognised line \"C corrupted\"\n"
+       trace (i + 1))
+    text;
+  Sys.remove trace
+
+(* --- --infer applies the marks the verdict does ---------------------- *)
+
+(* A wire-fault recording carries ambiguous-commit markers.  Inference
+   checkers that never saw them kept those transactions active, so a
+   read of one's write was a CR violation under every claim, while the
+   verdict beside them was inconclusive. *)
+let test_infer_applies_marks () =
+  List.iter
+    (fun seed ->
+      let trace = Filename.temp_file "leopard_session" ".trace" in
+      let infer what args =
+        let ((_, text) as res) = run_cli (args @ [ "--infer" ]) in
+        let what = Printf.sprintf "seed %d: %s" seed what in
+        check_exit what 3 res;
+        Alcotest.(check bool) (what ^ ": ambiguous commits") true
+          (contains text "ambiguous");
+        Alcotest.(check bool) (what ^ ": no claim fails") false
+          (contains text "FAIL");
+        Alcotest.(check bool) (what ^ ": SR supported") true
+          (contains text "strongest supported claim: postgresql/SR")
+      in
+      infer "run"
+        [ "-w"; "smallbank"; "-d"; "postgresql"; "-i"; "SI"; "-n"; "1000";
+          "--clients"; "8"; "--seed"; string_of_int seed;
+          "--net-fault-drop"; "0.05"; "--net-fault-reset"; "0.05";
+          "--net-fault-dup"; "0.05"; "--record"; trace ];
+      infer "check" [ "--check"; trace; "-d"; "postgresql"; "-i"; "SI" ];
+      Sys.remove trace)
+    [ 2; 3 ]
+
 let test_fnv_vectors () =
   Alcotest.(check string) "empty" "cbf29ce484222325" (Leopard_util.Fnv.hex "");
   Alcotest.(check string) "a" "af63dc4c8601ec8c" (Leopard_util.Fnv.hex "a")
@@ -377,5 +503,11 @@ let suite =
       test_lossy_kill_resume;
     Alcotest.test_case "checkpoint fingerprint binds whole file" `Quick
       test_fingerprint_binds_whole_file;
+    Alcotest.test_case "strict check needs the recorded order" `Quick
+      test_check_needs_recorded_order;
+    Alcotest.test_case "strict check stops at a bad trace line" `Quick
+      test_check_bad_trace_line;
+    Alcotest.test_case "--infer applies the file's marks" `Quick
+      test_infer_applies_marks;
     Alcotest.test_case "fnv-1a standard vectors" `Quick test_fnv_vectors;
   ]
