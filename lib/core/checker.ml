@@ -47,6 +47,25 @@ let initial_readers_of order =
   List.iter (fun id -> Hashtbl.replace members id ()) order;
   { order; members }
 
+type cause = Crashed | Wire | Coord
+
+(* Why one transaction's commit outcome is unknown.  [crashed] sits
+   beside the claim rather than competing with it, so a crash and a
+   give-up or a loss on one transaction are both counted.  [claim] is
+   the give-up ([Wire] or [Coord], never [Crashed]) that got there
+   first; [resolved] records that a committed read proved it; [lost]
+   records a failover's loss, which clears the claim for good. *)
+type outcome = {
+  crashed : bool;
+  claim : cause option;
+  resolved : bool;
+  lost : bool;
+}
+
+let unmarked = { crashed = false; claim = None; resolved = false; lost = false }
+let open_claim o = if o.resolved then None else o.claim
+let uncertain o = o.crashed || o.lost || open_claim o <> None
+
 type degradation = {
   crashed_clients : int;
   indeterminate_txns : int;
@@ -63,18 +82,48 @@ type degradation = {
   coord_ambiguous_commits : int;
 }
 
-(* [restarts] and [failovers] are deliberately absent: a clean
-   crash–recovery epoch loses nothing, and a failover whose survivor
-   prefix covers the whole log loses nothing either, so multi-epoch
-   traces with zero damage still earn a full [Verified].  Only actual
-   losses degrade the verdict. *)
-let degradation_free d =
-  d.crashed_clients = 0 && d.indeterminate_txns = 0
-  && d.dup_traces_dropped = 0 && d.late_traces_dropped = 0
-  && d.lost_traces = 0 && d.inconclusive_reads = 0
-  && d.unterminated_txns = 0 && d.recovery_lost_records = 0
-  && d.ambiguous_commits = 0 && d.lost_suffix_commits = 0
-  && d.coord_ambiguous_commits = 0
+(* Every counter that degrades the verdict, with the reason's singular
+   and plural, in the reason's order.  [restarts] and [failovers] are
+   deliberately absent: a clean crash–recovery epoch loses nothing, and
+   a failover whose survivor prefix covers the whole log loses nothing
+   either, so multi-epoch traces with zero damage still earn a full
+   [Verified].  Only actual losses degrade the verdict. *)
+let degrading d =
+  [
+    (d.crashed_clients, "client crashed", "clients crashed");
+    ( d.indeterminate_txns,
+      "transaction with indeterminate outcome",
+      "transactions with indeterminate outcome" );
+    ( d.ambiguous_commits,
+      "commit with ambiguous outcome",
+      "commits with ambiguous outcome" );
+    (d.lost_traces, "trace lost in collection", "traces lost in collection");
+    (d.late_traces_dropped, "late trace dropped", "late traces dropped");
+    (d.dup_traces_dropped, "duplicate dropped", "duplicates dropped");
+    (d.inconclusive_reads, "read inconclusive", "reads inconclusive");
+    ( d.unterminated_txns,
+      "transaction unterminated",
+      "transactions unterminated" );
+    ( d.recovery_lost_records,
+      "wal record lost in recovery",
+      "wal records lost in recovery" );
+    ( d.lost_suffix_commits,
+      "commit lost at failover",
+      "commits lost at failover" );
+    ( d.coord_ambiguous_commits,
+      "commit orphaned by a coordinator crash",
+      "commits orphaned by a coordinator crash" );
+  ]
+
+let degradation_free d = List.for_all (fun (n, _, _) -> n = 0) (degrading d)
+
+let degradation_reason d =
+  List.filter_map
+    (fun (n, singular, plural) ->
+      if n = 0 then None
+      else Some (Printf.sprintf "%d %s" n (if n = 1 then singular else plural)))
+    (degrading d)
+  |> String.concat ", "
 
 type report = {
   traces : int;
@@ -119,31 +168,13 @@ type t = {
   aborted_values : (Trace.value * int * int) list ref Cell.Tbl.t;
       (* (value, txn, terminal_aft) of aborted writes, kept only to
          classify violations as G1a aborted reads *)
-  indeterminate_ids : (int, unit) Hashtbl.t;
-      (* txns whose commit outcome the collector cannot know (crashed
-         clients): excluded from ME/FUW/SC obligations, and reads
-         matching their writes are inconclusive, not violations *)
+  outcomes : (int, outcome) Hashtbl.t;
+      (* every marked transaction; never pruned, because a marked
+         transaction can still be promoted (outcome resolution) or
+         re-queried *)
   indeterminate_values : (Trace.value * int) list ref Cell.Tbl.t;
       (* (value, txn) of indeterminate writes; never pruned — a crashed
          commit may have installed them at any later point *)
-  ambiguous_ids : (int, unit) Hashtbl.t;
-      (* txns whose COMMIT was sent but never acknowledged (wire faults):
-         indeterminate like a crashed client's, but *resolvable* — a
-         later committed read observing their writes proves the commit *)
-  resolved_ids : (int, unit) Hashtbl.t;
-      (* indeterminate/ambiguous txns promoted to definitely-committed
-         by outcome resolution; marks stay in their tables, resolution
-         is recorded here *)
-  lost_ids : (int, unit) Hashtbl.t;
-      (* txns a failover reported lost with the truncated log suffix:
-         indeterminate like a crashed client's, and — unlike ambiguous
-         commits — never resolvable, because the surviving timeline
-         provably does not contain them *)
-  coord_ids : (int, unit) Hashtbl.t;
-      (* the subset of [ambiguous_ids] whose ambiguity came from a 2PC
-         coordinator crash rather than the wire: tagged only when the
-         coordinator mark was the *first* to make the txn ambiguous, so
-         the wire and coordinator channels partition exactly *)
   awaiting : (int, await_entry list ref) Hashtbl.t;
       (* reader txn -> read items parked on an unresolved writer *)
   dedup_seen : (int * int * int, Trace.t) Hashtbl.t;
@@ -207,12 +238,8 @@ let create ?(gc_every = 512) ?(narrow_candidates = true)
     txns = Hashtbl.create 4096;
     initial_readers = Cell.Tbl.create 64;
     aborted_values = Cell.Tbl.create 64;
-    indeterminate_ids = Hashtbl.create 8;
+    outcomes = Hashtbl.create 8;
     indeterminate_values = Cell.Tbl.create 8;
-    ambiguous_ids = Hashtbl.create 8;
-    resolved_ids = Hashtbl.create 8;
-    lost_ids = Hashtbl.create 8;
-    coord_ids = Hashtbl.create 8;
     awaiting = Hashtbl.create 8;
     dedup_seen = Hashtbl.create 64;
     dedup_ts = min_int;
@@ -253,6 +280,13 @@ let create ?(gc_every = 512) ?(narrow_candidates = true)
 
 let set_dep_hook t f = t.dep_hook <- Some f
 
+let outcome t txn =
+  Option.value (Hashtbl.find_opt t.outcomes txn) ~default:unmarked
+
+let outcome_ids t p =
+  (* lint: allow hashtbl-order — callers count or sort the ids *)
+  Hashtbl.fold (fun id o acc -> if p o then id :: acc else acc) t.outcomes []
+
 let vtxn t id =
   match Hashtbl.find_opt t.txns id with
   | Some v -> v
@@ -262,14 +296,7 @@ let vtxn t id =
         vid = id;
         first_iv = None;
         terminal_iv = None;
-        vstatus =
-          (if
-             Hashtbl.mem t.indeterminate_ids id
-             || Hashtbl.mem t.lost_ids id
-             || Hashtbl.mem t.ambiguous_ids id
-                && not (Hashtbl.mem t.resolved_ids id)
-           then Indeterminate
-           else Active);
+        vstatus = (if uncertain (outcome t id) then Indeterminate else Active);
         writes = Cell.Tbl.create 8;
         write_cells = [];
         pending_deps = [];
@@ -360,69 +387,40 @@ let make_indeterminate t (v : vtxn) =
     (fun cell (value, _) -> register_indeterminate_value t cell value v.vid)
     v.writes
 
-let mark_indeterminate t ~txn =
-  if not (Hashtbl.mem t.indeterminate_ids txn) then begin
-    Hashtbl.replace t.indeterminate_ids txn ();
+(* The one insert rule: [update] gives [txn]'s new outcome, and a mark
+   that changes it withdraws an active transaction's obligations. *)
+let insert t ~txn update =
+  let o = outcome t txn in
+  let o' = update o in
+  if o' <> o then begin
+    Hashtbl.replace t.outcomes txn o';
     match Hashtbl.find_opt t.txns txn with
     | Some v when v.vstatus = Active -> make_indeterminate t v
     | Some _ | None -> ()
   end
 
-(* An ambiguous commit (wire faults: COMMIT sent, acknowledgement never
-   received) carries the same exclusions as a crashed client's
-   transaction, but unlike the chaos plane it is {e resolvable}: the
-   COMMIT was definitely issued, so a later {e committed} read observing
-   one of its written values proves the engine applied it, and the
-   checker promotes it to definitely-committed (outcome resolution).
-   Unresolved ones surface as the [ambiguous_commits] degradation. *)
-let mark_ambiguous_commit t ~txn =
-  if
-    (not (Hashtbl.mem t.ambiguous_ids txn))
-    && not (Hashtbl.mem t.resolved_ids txn)
-  then begin
-    Hashtbl.replace t.ambiguous_ids txn ();
-    match Hashtbl.find_opt t.txns txn with
-    | Some v when v.vstatus = Active -> make_indeterminate t v
-    | Some _ | None -> ()
-  end
-
-(* A 2PC coordinator crash before the commit decision: the client can
-   never learn the outcome, exactly like a wire-ambiguous commit, and it
-   carries the same exclusions and the same resolution rule (the
-   PREPAREs were sent, so a later committed read observing one of its
-   written values proves the engine applied it).  It is tagged into a
-   separate degradation channel — [coord_ambiguous_commits] — so
-   coordinator give-ups and wire give-ups partition exactly: the tag is
-   only added when this mark is the first to make the txn ambiguous. *)
-let mark_coord_ambiguous t ~txn =
-  if
-    (not (Hashtbl.mem t.ambiguous_ids txn))
-    && not (Hashtbl.mem t.resolved_ids txn)
-  then begin
-    Hashtbl.replace t.ambiguous_ids txn ();
-    Hashtbl.replace t.coord_ids txn ();
-    match Hashtbl.find_opt t.txns txn with
-    | Some v when v.vstatus = Active -> make_indeterminate t v
-    | Some _ | None -> ()
-  end
+(* A crash mark lands once.  A give-up ([Wire] or [Coord]) carries the
+   same exclusions but is resolvable (see [defer_or_resolve]).  The
+   first give-up claims the transaction, so the wire and coordinator
+   channels partition exactly, and none lands after a loss. *)
+let mark t ~txn cause =
+  insert t ~txn (fun o ->
+      match cause with
+      | Crashed -> { o with crashed = true }
+      | Wire | Coord when o.claim = None && not o.lost ->
+        { o with claim = Some cause }
+      | Wire | Coord -> o)
 
 (* A commit on the truncated suffix of a failover.  It shares the
-   exclusions of an ambiguous commit but is permanently unresolvable:
-   the surviving timeline provably does not contain it, so a later read
+   exclusions of a give-up but is permanently unresolvable: the
+   surviving timeline provably does not contain it, so a later read
    observing its value proves nothing about *this* timeline (the read
-   may predate the promotion).  It is pulled out of the ambiguous set —
-   otherwise a pre-failover read could "resolve" it and post-failover
-   reads missing it would become false violations. *)
-let mark_lost_commit t ~txn =
-  Hashtbl.remove t.ambiguous_ids txn;
-  Hashtbl.remove t.resolved_ids txn;
-  Hashtbl.remove t.coord_ids txn;
-  if not (Hashtbl.mem t.lost_ids txn) then begin
-    Hashtbl.replace t.lost_ids txn ();
-    match Hashtbl.find_opt t.txns txn with
-    | Some v when v.vstatus = Active -> make_indeterminate t v
-    | Some _ | None -> ()
-  end
+   may predate the promotion).  The loss clears any claim, and no claim
+   lands after it — otherwise a pre-failover read could "resolve" it and
+   post-failover reads missing it would become false violations. *)
+let lose t ~txn =
+  insert t ~txn (fun o ->
+      { o with lost = true; claim = None; resolved = false })
 
 let indeterminate_writer t cell value =
   match Cell.Tbl.find_opt t.indeterminate_values cell with
@@ -430,9 +428,7 @@ let indeterminate_writer t cell value =
     Option.map snd (List.find_opt (fun (v, _) -> v = value) !entries)
   | None -> None
 
-let resolvable t writer =
-  Hashtbl.mem t.ambiguous_ids writer
-  && not (Hashtbl.mem t.resolved_ids writer)
+let resolvable t writer = open_claim (outcome t writer) <> None
 
 (* ------------------------------------------------------------------ *)
 (* CR verification of one deferred read (Algorithm 2, ConsistentRead) *)
@@ -741,7 +737,8 @@ and promote_ambiguous t writer ~observed_aft =
       (fun _cell entries ->
         entries := List.filter (fun (_, id) -> id <> writer) !entries)
       t.indeterminate_values;
-    Hashtbl.replace t.resolved_ids writer ();
+    Hashtbl.replace t.outcomes writer
+      { (outcome t writer) with resolved = true };
     w.vstatus <- Committed;
     t.committed <- t.committed + 1;
     let bef =
@@ -904,17 +901,8 @@ let truncate t ~watermark =
       List.iter (fun e -> keep e.a_writer) !entries)
     t.awaiting;
   (* marked transactions can still be promoted (outcome resolution) or
-     re-queried; their ids stay in the open sets of the summary *)
-  List.iter
-    (fun ids ->
-      (* lint: allow hashtbl-order — building a membership set; commutative *)
-      Hashtbl.iter (fun id () -> keep id) ids)
-    [ t.indeterminate_ids; t.ambiguous_ids; t.resolved_ids; t.lost_ids;
-      t.coord_ids ];
-  (* lint: allow hashtbl-order — building a membership set; commutative *)
-  Cell.Tbl.iter
-    (fun _ entries -> List.iter (fun (_, id) -> keep id) !entries)
-    t.indeterminate_values;
+     re-queried; every writer in [indeterminate_values] is one of them *)
+  List.iter keep (outcome_ids t (fun _ -> true));
   List.iter
     (fun id ->
       if not (Hashtbl.mem retained id) then
@@ -1170,7 +1158,7 @@ let duplicate_delivery t trace =
 let resume t (v : vtxn) =
   match v.first_iv with
   | Some f when Interval.bef f < t.pruned_to ->
-    if v.vstatus = Active then mark_indeterminate t ~txn:v.vid
+    if v.vstatus = Active then mark t ~txn:v.vid Crashed
   | Some _ | None -> Hashtbl.remove t.superseded v.vid
 
 (* Only a trace that switches its client's transaction can supersede
@@ -1208,8 +1196,7 @@ and feed_fresh t trace =
   | Trace.Read { items; locking } -> handle_read t v trace items locking
   | Trace.Write items -> handle_write t v trace items
   | (Trace.Commit | Trace.Abort)
-    when v.vstatus = Indeterminate
-         || Hashtbl.mem t.resolved_ids trace.Trace.txn ->
+    when v.vstatus = Indeterminate || (outcome t v.vid).resolved ->
     (* defensive: a terminal for a transaction already declared
        indeterminate (e.g. a late mark racing a delivered terminal) or
        already promoted by outcome resolution adds no obligations — the
@@ -1220,8 +1207,6 @@ and feed_fresh t trace =
   let live = live_size t in
   if live > t.peak_live then t.peak_live <- live;
   if t.gc_every > 0 && t.traces mod t.gc_every = 0 then run_gc t
-
-let feed_all t traces = List.iter (feed t) traces
 
 let finalize t =
   flush_deferred t ~upto:max_int;
@@ -1277,12 +1262,14 @@ let note_failover t ~at ~epoch ~lost =
   if epoch < 1 then invalid_arg "Checker.note_failover: epoch must be >= 1";
   t.ext_failovers <- t.ext_failovers + 1;
   t.ext_lost_commits <- t.ext_lost_commits + List.length lost;
-  List.iter (fun txn -> mark_lost_commit t ~txn) lost
+  List.iter (fun txn -> lose t ~txn) lost
+
+let count t p = List.length (outcome_ids t p)
 
 let degradation t =
   {
     crashed_clients = t.ext_crashed_clients;
-    indeterminate_txns = Hashtbl.length t.indeterminate_ids;
+    indeterminate_txns = count t (fun o -> o.crashed);
     dup_traces_dropped = t.dup_dropped;
     late_traces_dropped = t.ext_late_dropped;
     lost_traces = t.ext_lost;
@@ -1300,20 +1287,8 @@ let degradation t =
     recovery_lost_records = t.ext_recovery_lost;
     failovers = t.ext_failovers;
     lost_suffix_commits = t.ext_lost_commits;
-    ambiguous_commits =
-      (* lint: allow hashtbl-order — count-fold; commutative *)
-      Hashtbl.fold
-        (fun id () acc ->
-          if Hashtbl.mem t.resolved_ids id || Hashtbl.mem t.coord_ids id then
-            acc
-          else acc + 1)
-        t.ambiguous_ids 0;
-    coord_ambiguous_commits =
-      (* lint: allow hashtbl-order — count-fold; commutative *)
-      Hashtbl.fold
-        (fun id () acc ->
-          if Hashtbl.mem t.resolved_ids id then acc else acc + 1)
-        t.coord_ids 0;
+    ambiguous_commits = count t (fun o -> open_claim o = Some Wire);
+    coord_ambiguous_commits = count t (fun o -> open_claim o = Some Coord);
   }
 
 let report t =
@@ -1348,44 +1323,9 @@ let report t =
     pruned_graph = t.pruned_graph;
     truncations = t.truncations;
     truncated_deps = t.truncated_deps;
-    resolved_ambiguous = Hashtbl.length t.resolved_ids;
+    resolved_ambiguous = count t (fun o -> o.resolved);
     degradation = degradation t;
   }
-
-let degradation_reason d =
-  let parts = [] in
-  let add parts n singular plural =
-    if n = 0 then parts
-    else Printf.sprintf "%d %s" n (if n = 1 then singular else plural) :: parts
-  in
-  let parts = add parts d.crashed_clients "client crashed" "clients crashed" in
-  let parts =
-    add parts d.indeterminate_txns "transaction with indeterminate outcome"
-      "transactions with indeterminate outcome"
-  in
-  let parts =
-    add parts d.ambiguous_commits "commit with ambiguous outcome"
-      "commits with ambiguous outcome"
-  in
-  let parts = add parts d.lost_traces "trace lost in collection" "traces lost in collection" in
-  let parts = add parts d.late_traces_dropped "late trace dropped" "late traces dropped" in
-  let parts = add parts d.dup_traces_dropped "duplicate dropped" "duplicates dropped" in
-  let parts = add parts d.inconclusive_reads "read inconclusive" "reads inconclusive" in
-  let parts = add parts d.unterminated_txns "transaction unterminated" "transactions unterminated" in
-  let parts =
-    add parts d.recovery_lost_records "wal record lost in recovery"
-      "wal records lost in recovery"
-  in
-  let parts =
-    add parts d.lost_suffix_commits "commit lost at failover"
-      "commits lost at failover"
-  in
-  let parts =
-    add parts d.coord_ambiguous_commits
-      "commit orphaned by a coordinator crash"
-      "commits orphaned by a coordinator crash"
-  in
-  String.concat ", " (List.rev parts)
 
 let verdict (r : report) =
   if r.bugs_total > 0 then Violation
@@ -1434,11 +1374,20 @@ let scalars =
     ((fun t -> t.truncated_deps), fun t v -> t.truncated_deps <- v);
   ]
 
-let id_sets t =
+(* The outcome table as [id] records, in checkpoint order: each names
+   the transactions whose outcome [holds] one fact, and [restore]s it.
+   The [superseded] set follows them. *)
+let outcome_sets =
   [
-    ("indeterminate", t.indeterminate_ids); ("ambiguous", t.ambiguous_ids);
-    ("resolved", t.resolved_ids); ("lost", t.lost_ids); ("coord", t.coord_ids);
-    ("superseded", t.superseded);
+    ("indeterminate", (fun o -> o.crashed), fun o -> { o with crashed = true });
+    ( "ambiguous",
+      (fun o -> o.claim <> None),
+      fun o -> { o with claim = Some (Option.value o.claim ~default:Wire) } );
+    ("resolved", (fun o -> o.resolved), fun o -> { o with resolved = true });
+    ("lost", (fun o -> o.lost), fun o -> { o with lost = true });
+    ( "coord",
+      (fun o -> o.claim = Some Coord),
+      fun o -> { o with claim = Some Coord } );
   ]
 
 let status_code = function
@@ -1553,13 +1502,13 @@ let encode t =
                cell c;
                entries (fun (value, txn) -> [ int value; int txn ]) values;
              ]);
+  let id_record set ids = record "id" F.[ name set; ints ids ] in
   List.iter
-    (fun (set, ids) ->
-      let sorted =
-        Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort Int.compare
-      in
-      record "id" F.[ name set; ints sorted ])
-    (id_sets t);
+    (fun (set, holds, _) ->
+      outcome_ids t holds |> List.sort Int.compare |> id_record set)
+    outcome_sets;
+  Hashtbl.fold (fun id () acc -> id :: acc) t.superseded []
+  |> List.sort Int.compare |> id_record "superseded";
   record "cl"
     F.
       [
@@ -1676,8 +1625,15 @@ let load t r =
     let cell = R.cell r in
     Cell.Tbl.replace t.indeterminate_values cell (ref (R.entries r read_pair))
   | "id" -> (
-    match List.assoc_opt (R.name r) (id_sets t) with
-    | Some set -> List.iter (fun id -> Hashtbl.replace set id ()) (R.ints r)
+    let set = R.name r in
+    let ids = R.ints r in
+    match List.find_opt (fun (s, _, _) -> String.equal s set) outcome_sets with
+    | Some (_, _, restore) ->
+      List.iter
+        (fun id -> Hashtbl.replace t.outcomes id (restore (outcome t id)))
+        ids
+    | None when String.equal set "superseded" ->
+      List.iter (fun id -> Hashtbl.replace t.superseded id ()) ids
     | None -> R.fail r)
   | "cl" ->
     t.pruned_to <- R.int r;

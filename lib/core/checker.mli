@@ -85,8 +85,6 @@ val feed : t -> Trace.t -> unit
     delivery) is silently dropped and counted in
     {!degradation.dup_traces_dropped}. *)
 
-val feed_all : t -> Trace.t list -> unit
-
 val finalize : t -> unit
 (** Flush deferred read checks and run a last pruning pass.  Must be
     called once after the final trace. *)
@@ -101,51 +99,47 @@ val truncate : t -> watermark:int -> unit
     structure into accumulated per-source tallies — the one structure
     periodic gc never bounds.  Folded counts are merged back into
     {!report.deps_deduced} / {!report.deduced_by_source}, so a
-    truncated run reports the same totals as an untruncated one; open
-    ambiguous/lost/indeterminate sets, degradation counters and stored
-    bugs are always retained.  After a truncation, {!live_size} is
+    truncated run reports the same totals as an untruncated one; marked
+    transactions ({!mark}, {!note_failover}), degradation counters and
+    stored bugs are always retained.  After a truncation, {!live_size} is
     O(window): bounded by the state reachable from live transactions.
     Safe to call at any dispatch point, any number of times. *)
 
-val mark_indeterminate : t -> txn:int -> unit
+type cause =
+  | Crashed
+      (** the client crashed with the transaction in flight: the commit
+          may or may not have taken effect server-side *)
+  | Wire
+      (** the client sent COMMIT but never received the acknowledgement
+          (wire faults, replication-gate timeouts) *)
+  | Coord
+      (** the 2PC coordinator crashed before reaching a commit decision
+          (a trace-file [P … ?] marker) *)
+
+val mark : t -> txn:int -> cause -> unit
 (** Declare that [txn]'s commit outcome is unknowable from the trace
-    stream (its client crashed with the transaction in flight — the
-    commit may or may not have taken effect server-side).  The
-    transaction is excluded from ME/FUW/SC obligations, dependencies
-    touching it are dropped, and reads observing one of its written
-    values count as inconclusive instead of reporting a violation.  May
-    be called before or after the transaction's traces are fed; call it
-    no later than the batch in which the crash was detected so downstream
-    reads are already covered when they are checked. *)
+    stream.  The transaction is excluded from ME/FUW/SC obligations,
+    dependencies touching it are dropped, and reads observing one of its
+    written values count as inconclusive instead of reporting a
+    violation.  May be called before or after the transaction's traces
+    are fed; call it no later than the batch in which the cause was
+    detected, so downstream reads are already covered when they are
+    checked.
 
-val mark_ambiguous_commit : t -> txn:int -> unit
-(** Declare that [txn]'s client sent a COMMIT but never received the
-    acknowledgement (wire faults: the request or its reply was lost, or
-    the connection reset after delivery).  The transaction starts with
-    the same exclusions as {!mark_indeterminate}, but is {e resolvable}:
-    when a later {e committed} read observes one of its written values,
-    the checker promotes it to definitely-committed ("outcome
-    resolution" — an engine at read-committed or above never serves an
-    unapplied write to a transaction that goes on to commit) and the
-    read is re-checked against the promoted version.  Promoted
-    transactions count in {!report.resolved_ambiguous} and stop
-    degrading the verdict; unresolved ones count in
-    {!degradation.ambiguous_commits}.  ME and FUW obligations stay
-    waived even after promotion (their instants are unknowable).  Call
-    it no later than the batch in which the give-up was detected, like
-    {!mark_indeterminate}. *)
-
-val mark_coord_ambiguous : t -> txn:int -> unit
-(** Declare that [txn]'s 2PC coordinator crashed before reaching a
-    commit decision (a trace-file [P … ?] marker, or [Run]'s
-    coordinator-ambiguity channel): the client can never learn the
-    outcome.  Identical exclusions and resolution rule to
-    {!mark_ambiguous_commit}, but counted in a separate channel —
-    {!degradation.coord_ambiguous_commits} — so coordinator give-ups
-    and wire give-ups partition exactly: whichever mark arrives first
-    claims the transaction, and a later mark from the other channel is
-    a no-op.  A failover's {!note_failover} lost-suffix still wins over
-    both ("lost beats ambiguous"). *)
+    A [Crashed] mark counts in {!degradation.indeterminate_txns}.  A
+    [Wire] or [Coord] give-up is {e resolvable}: when a later
+    {e committed} read observes one of its written values, the checker
+    promotes it to definitely-committed ("outcome resolution" — an
+    engine at read-committed or above never serves an unapplied write
+    to a transaction that goes on to commit) and re-checks the read
+    against the promoted version.  Promoted transactions count in
+    {!report.resolved_ambiguous} and stop degrading the verdict;
+    unresolved ones count in {!degradation.ambiguous_commits} or
+    {!degradation.coord_ambiguous_commits}.  The first give-up claims
+    the transaction and a later one is a no-op, so the two channels
+    partition exactly.  ME and FUW obligations stay waived even after
+    promotion (their instants are unknowable).  A crash mark and a
+    give-up or a loss on one transaction are both counted. *)
 
 val note_crashed_clients : t -> int -> unit
 (** Add externally detected client crashes to the degradation stats. *)
@@ -177,9 +171,11 @@ val note_failover : t -> at:int -> epoch:int -> lost:int list -> unit
     [epoch], truncating the replication log to the survivor prefix and
     losing the commits in [lost].  Call it {e before} feeding traces —
     lost transactions then enter the checker already indeterminate, and
-    (unlike {!mark_ambiguous_commit}) they are {e never} resolvable: the
-    surviving timeline provably lacks them, so a read observing their
-    values is inconclusive rather than proof of commit.  A lossless
+    (unlike a [Wire] or [Coord] {!mark}) they are {e never} resolvable:
+    the surviving timeline provably lacks them, so a read observing
+    their values is inconclusive rather than proof of commit.  The loss
+    wins whichever order the marks come in: it clears an earlier
+    give-up's claim, and a later give-up does not land.  A lossless
     failover ([lost = []]) does not degrade the verdict; lost commits
     are counted in {!degradation.lost_suffix_commits} and weaken
     [Verified] to [Inconclusive] — never a false [Violation].  Raises
@@ -187,7 +183,7 @@ val note_failover : t -> at:int -> epoch:int -> lost:int list -> unit
 
 type degradation = {
   crashed_clients : int;
-  indeterminate_txns : int;  (** transactions marked indeterminate *)
+  indeterminate_txns : int;  (** transactions with a [Crashed] {!mark} *)
   dup_traces_dropped : int;  (** duplicate deliveries deduped by [feed] *)
   late_traces_dropped : int;  (** reported via {!note_late_dropped} *)
   lost_traces : int;  (** reported via {!note_lost_traces} *)
@@ -203,18 +199,17 @@ type degradation = {
       (** WAL records damaged across all recoveries; non-zero weakens
           [Verified] to [Inconclusive] *)
   ambiguous_commits : int;
-      (** commits still ambiguous after resolution
-          ({!mark_ambiguous_commit} minus promotions); non-zero weakens
-          [Verified] to [Inconclusive] *)
+      (** commits still ambiguous after resolution ([Wire] marks minus
+          promotions); non-zero weakens [Verified] to [Inconclusive] *)
   failovers : int;  (** leader changes ({!note_failover}) *)
   lost_suffix_commits : int;
       (** commits reported lost with a failover's truncated log suffix;
           non-zero weakens [Verified] to [Inconclusive] *)
   coord_ambiguous_commits : int;
       (** commits still ambiguous because the 2PC coordinator crashed
-          undecided ({!mark_coord_ambiguous} minus promotions); disjoint
-          from [ambiguous_commits] by first-mark precedence; non-zero
-          weakens [Verified] to [Inconclusive] *)
+          undecided ([Coord] marks minus promotions); disjoint from
+          [ambiguous_commits] by first-mark precedence; non-zero weakens
+          [Verified] to [Inconclusive] *)
 }
 
 val degradation_free : degradation -> bool

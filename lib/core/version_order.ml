@@ -63,11 +63,7 @@ let chain t cell =
   | Some c -> c.versions
   | None -> []
 
-let find_by_value t cell value =
-  List.filter (fun v -> v.value = value) (chain t cell)
-
 let live_versions t = t.live
-let cells t = Cell.Tbl.length t.chains
 
 let referenced_txns t =
   Cell.Tbl.fold

@@ -44,13 +44,8 @@ val install :
 val chain : t -> Cell.t -> version list
 (** Ascending (oldest to newest); [] for unknown cells. *)
 
-val find_by_value : t -> Cell.t -> Trace.value -> version list
-(** Committed versions of the cell carrying the given value. *)
-
 val live_versions : t -> int
 (** Total versions currently retained — the CR memory metric. *)
-
-val cells : t -> int
 
 val referenced_txns : t -> int list
 (** Sorted ids of every transaction a retained version references (its

@@ -63,13 +63,12 @@ let apply checker m =
       Checker.note_restart checker ~at:e.at ~replayed:e.replayed
         ~damaged:e.damaged)
     m.epochs;
-  List.iter (fun txn -> Checker.mark_indeterminate checker ~txn) m.indeterminate;
+  let mark cause = List.iter (fun txn -> Checker.mark checker ~txn cause) in
+  mark Checker.Crashed m.indeterminate;
   if m.crashed_clients > 0 then
     Checker.note_crashed_clients checker m.crashed_clients;
-  List.iter (fun txn -> Checker.mark_ambiguous_commit checker ~txn) m.ambiguous;
-  List.iter
-    (fun txn -> Checker.mark_coord_ambiguous checker ~txn)
-    m.coord_ambiguous;
+  mark Checker.Wire m.ambiguous;
+  mark Checker.Coord m.coord_ambiguous;
   List.iter
     (fun (l : Codec.leader_mark) ->
       Checker.note_failover checker ~at:l.at ~epoch:l.epoch ~lost:l.lost)

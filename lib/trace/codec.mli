@@ -37,7 +37,7 @@
     [txn]'s COMMIT without learning the outcome (the request or its
     acknowledgement was lost on the wire): the transaction has no
     terminal trace and its commit status is unknowable from the stream
-    alone.  Checkers feed these to [Checker.mark_ambiguous_commit]
+    alone.  Checkers feed these to [Checker.mark] with the [Wire] cause
     before the traces.
 
     A {e leader marker} line
@@ -74,7 +74,7 @@
     decided commit, [a] it decided abort (veto or vote timeout — a
     definite outcome), [?] it crashed before deciding — the outcome is
     unknowable to the client, and checkers feed these to
-    [Checker.mark_coord_ambiguous] before the traces.
+    [Checker.mark] with the [Coord] cause before the traces.
 
     All marker kinds sort chronologically with the traces.  One writer
     ({!save_ext}) produces the format and one line loop reads it: the

@@ -237,9 +237,9 @@ let indeterminate_history =
 
 let check_indeterminate ~mark_first =
   let checker = Checker.create Leopard.Il_profile.postgresql_si in
-  if mark_first then Checker.mark_indeterminate checker ~txn:1;
+  if mark_first then Checker.mark checker ~txn:1 Checker.Crashed;
   List.iter (Checker.feed checker) indeterminate_history;
-  if not mark_first then Checker.mark_indeterminate checker ~txn:1;
+  if not mark_first then Checker.mark checker ~txn:1 Checker.Crashed;
   Checker.note_crashed_clients checker 1;
   Checker.finalize checker;
   Checker.report checker

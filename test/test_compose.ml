@@ -62,24 +62,11 @@ let repl_stats outcome =
   | Some s -> s
   | None -> Alcotest.fail "stacked run must report shard-repl stats"
 
-(* Offline verification exactly as the CLI does it: restart epochs,
-   then ambiguity marks, then failover marks (lost beats ambiguous),
-   then the traces in timestamp order. *)
+(* Offline verification exactly as the CLI does it: every mark through
+   [Marks.apply], then the traces in timestamp order. *)
 let check_outcome outcome =
   let checker = Checker.create si in
-  List.iter
-    (fun (m : Codec.epoch_mark) ->
-      Checker.note_restart checker ~at:m.at ~replayed:m.replayed
-        ~damaged:m.damaged)
-    outcome.Run.epochs;
-  List.iter
-    (fun (_client, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
-    outcome.Run.coord_ambiguous;
-  List.iter
-    (fun (m : Codec.leader_mark) ->
-      Checker.note_failover checker ~at:m.Codec.at ~epoch:m.Codec.epoch
-        ~lost:m.Codec.lost)
-    outcome.Run.leaders;
+  Leopard_harness.Marks.(apply checker (of_outcome outcome));
   List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
   Checker.finalize checker;
   Checker.report checker
@@ -357,34 +344,50 @@ let degradation_of ~marks =
     r.Checker.bugs_total;
   r.Checker.degradation
 
-let wire c = Checker.mark_ambiguous_commit c ~txn:1
-let coord c = Checker.mark_coord_ambiguous c ~txn:1
+let crash c = Checker.mark c ~txn:1 Checker.Crashed
+let wire c = Checker.mark c ~txn:1 Checker.Wire
+let coord c = Checker.mark c ~txn:1 Checker.Coord
 let lost c = Checker.note_failover c ~at:50 ~epoch:2 ~lost:[ 1 ]
 
 let test_precedence_matrix () =
-  let check_counts name ~marks ~wire:w ~coord:co ~lost:l =
+  let check_counts name ~marks ?(inconclusive = 0) ?(indeterminate = 0)
+      ~wire:w ~coord:co ~lost:l () =
     let d = degradation_of ~marks in
     Alcotest.(check int) (name ^ ": wire channel") w
       d.Checker.ambiguous_commits;
     Alcotest.(check int) (name ^ ": coordinator channel") co
       d.Checker.coord_ambiguous_commits;
     Alcotest.(check int) (name ^ ": loss channel") l
-      d.Checker.lost_suffix_commits
+      d.Checker.lost_suffix_commits;
+    Alcotest.(check int) (name ^ ": inconclusive reads") inconclusive
+      d.Checker.inconclusive_reads;
+    Alcotest.(check int) (name ^ ": indeterminate txns") indeterminate
+      d.Checker.indeterminate_txns
   in
   (* ambiguity channels partition by first mark — and both resolve on
      the committed observation, so the surviving counters are zero *)
   check_counts "wire then coord" ~marks:[ wire; coord ] ~wire:0 ~coord:0
-    ~lost:0;
+    ~lost:0 ();
   check_counts "coord then wire" ~marks:[ coord; wire ] ~wire:0 ~coord:0
-    ~lost:0;
-  (* the loss channel beats either ambiguity channel: the commit is
-     permanently unresolvable, so the observation resolves nothing *)
+    ~lost:0 ();
+  (* the loss channel beats either ambiguity channel, in either order:
+     the commit is permanently unresolvable, so the observation resolves
+     nothing and the read stays inconclusive *)
   check_counts "wire then lost" ~marks:[ wire; lost ] ~wire:0 ~coord:0
-    ~lost:1;
+    ~lost:1 ~inconclusive:1 ();
   check_counts "coord then lost" ~marks:[ coord; lost ] ~wire:0 ~coord:0
-    ~lost:1;
+    ~lost:1 ~inconclusive:1 ();
+  check_counts "lost then wire" ~marks:[ lost; wire ] ~wire:0 ~coord:0
+    ~lost:1 ~inconclusive:1 ();
+  check_counts "lost then coord" ~marks:[ lost; coord ] ~wire:0 ~coord:0
+    ~lost:1 ~inconclusive:1 ();
   check_counts "all three" ~marks:[ wire; coord; lost ] ~wire:0 ~coord:0
-    ~lost:1
+    ~lost:1 ~inconclusive:1 ();
+  (* a crash mark sits beside a give-up or a loss: both are counted *)
+  check_counts "crash then wire" ~marks:[ crash; wire ] ~wire:0 ~coord:0
+    ~lost:0 ~indeterminate:1 ();
+  check_counts "crash then lost" ~marks:[ crash; lost ] ~wire:0 ~coord:0
+    ~lost:1 ~inconclusive:1 ~indeterminate:1 ()
 
 let test_precedence_never_masks_violation () =
   (* the same provable contradiction — a committed read observing the

@@ -244,7 +244,7 @@ let si = Leopard.Il_profile.postgresql_si
 
 let check_with_ambiguous profile ~ambiguous traces =
   let checker = Checker.create profile in
-  List.iter (fun txn -> Checker.mark_ambiguous_commit checker ~txn) ambiguous;
+  List.iter (fun txn -> Checker.mark checker ~txn Checker.Wire) ambiguous;
   List.iter (Checker.feed checker)
     (List.sort Trace.compare_by_bef traces);
   Checker.finalize checker;
@@ -335,12 +335,7 @@ let test_planted_violation_under_ambiguity_flagged () =
 
 let check_outcome outcome =
   let checker = Checker.create si in
-  (match outcome.Run.net with
-  | Some ns ->
-    List.iter
-      (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
-      ns.Run.ambiguous
-  | None -> ());
+  Leopard_harness.Marks.(apply checker (of_outcome outcome));
   List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
   Checker.finalize checker;
   Checker.report checker
@@ -420,18 +415,7 @@ let test_cross_plane_channels_separate () =
     let ambiguous =
       match o.Run.net with Some ns -> ns.Run.ambiguous | None -> []
     in
-    let checker = Checker.create si in
-    List.iter
-      (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
-      ambiguous;
-    List.iter
-      (fun (e : Codec.epoch_mark) ->
-        Checker.note_restart checker ~at:e.at ~replayed:e.replayed
-          ~damaged:e.damaged)
-      o.Run.epochs;
-    List.iter (Checker.feed checker) (Run.all_traces_sorted o);
-    Checker.finalize checker;
-    let r = Checker.report checker in
+    let r = check_outcome o in
     Alcotest.(check int) "no false violations" 0 r.Checker.bugs_total;
     let d = r.Checker.degradation in
     Alcotest.(check int) "restarts in their own channel" o.Run.restarts

@@ -60,20 +60,12 @@ let repl_stats outcome =
   | Some s -> s
   | None -> Alcotest.fail "replicated run must report repl stats"
 
-(* Offline verification exactly as the CLI does it: ambiguity marks
-   first, then the leader marks (note_failover strips lost commits from
-   the resolvable set permanently — lost beats ambiguous), then the
-   traces in timestamp order. *)
+(* Offline verification exactly as the CLI does it: every mark through
+   [Marks.apply] (failover marks last, so lost beats ambiguous), then
+   the traces in timestamp order. *)
 let check_outcome outcome =
   let checker = Checker.create si in
-  List.iter
-    (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
-    outcome.Run.repl_ambiguous;
-  List.iter
-    (fun (m : Codec.leader_mark) ->
-      Checker.note_failover checker ~at:m.Codec.at ~epoch:m.Codec.epoch
-        ~lost:m.Codec.lost)
-    outcome.Run.leaders;
+  Leopard_harness.Marks.(apply checker (of_outcome outcome));
   List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
   Checker.finalize checker;
   Checker.report checker
@@ -357,7 +349,7 @@ let test_stale_follower_read_detected () =
 
 let check_with_failover ?(ambiguous = []) ~lost traces =
   let checker = Checker.create si in
-  List.iter (fun txn -> Checker.mark_ambiguous_commit checker ~txn) ambiguous;
+  List.iter (fun txn -> Checker.mark checker ~txn Checker.Wire) ambiguous;
   Checker.note_failover checker ~at:50 ~epoch:2 ~lost;
   List.iter (Checker.feed checker) (List.sort Trace.compare_by_bef traces);
   Checker.finalize checker;

@@ -17,7 +17,7 @@
    - cross-shard dependencies stitch through the single group-wide
      trace file: a violation provable on the global trace is invisible
      to per-shard slices of it;
-   - [Checker.mark_coord_ambiguous]: resolvable like the wire channel,
+   - a [Coord] {!Checker.mark}: resolvable like the wire channel,
      exactly partitioned from it by first-mark precedence, and "lost
      beats ambiguous" still wins. *)
 
@@ -69,14 +69,11 @@ let shard_stats outcome =
   | Some s -> s
   | None -> Alcotest.fail "sharded run must report shard stats"
 
-(* Offline verification exactly as the CLI does it: coordinator
-   ambiguity marks first (the [P ... ?] lines), then the traces in
-   timestamp order. *)
+(* Offline verification exactly as the CLI does it: every mark through
+   [Marks.apply], then the traces in timestamp order. *)
 let check_outcome outcome =
   let checker = Checker.create si in
-  List.iter
-    (fun (_client, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
-    outcome.Run.coord_ambiguous;
+  Leopard_harness.Marks.(apply checker (of_outcome outcome));
   List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
   Checker.finalize checker;
   Checker.report checker
@@ -236,18 +233,7 @@ let test_coord_crash_composes_with_wal_plane () =
     in
     let outcome = Run.execute cfg in
     seen_epochs := !seen_epochs + outcome.Run.restarts;
-    let checker = Checker.create si in
-    List.iter
-      (fun (m : Codec.epoch_mark) ->
-        Checker.note_restart checker ~at:m.at ~replayed:m.replayed
-          ~damaged:m.damaged)
-      outcome.Run.epochs;
-    List.iter
-      (fun (_c, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
-      outcome.Run.coord_ambiguous;
-    List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
-    Checker.finalize checker;
-    let r = Checker.report checker in
+    let r = check_outcome outcome in
     if r.Checker.bugs_total > 0 then
       Alcotest.failf "seed %d: false violation under crash + 2PC" seed
   done;
@@ -425,7 +411,7 @@ let test_violation_needs_global_stitching () =
       let checker = Checker.create si in
       Checker.note_lost_traces checker dropped;
       List.iter
-        (fun (_c, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
+        (fun (_c, txn, _at) -> Checker.mark checker ~txn Checker.Coord)
         outcome.Run.coord_ambiguous;
       List.iter (Checker.feed checker) kept;
       Checker.finalize checker;
@@ -435,13 +421,13 @@ let test_violation_needs_global_stitching () =
         0 r.Checker.bugs_total)
     [ 0; 1 ]
 
-(* --- checker-level mark_coord_ambiguous semantics --- *)
+(* --- checker-level [Checker.mark] semantics for the Coord cause --- *)
 
 let test_coord_ambiguous_resolves () =
   (* a later committed read observing the orphaned commit's write
      proves it committed: the ambiguity resolves and stops degrading *)
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~txn:1 Checker.Coord;
   List.iter (Checker.feed checker)
     [
       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];
@@ -459,7 +445,7 @@ let test_coord_ambiguous_resolves () =
 
 let test_coord_ambiguous_unresolved_degrades () =
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~txn:1 Checker.Coord;
   List.iter (Checker.feed checker)
     [
       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];
@@ -481,8 +467,8 @@ let test_channel_partition_is_exact () =
      channel stays at zero — no double counting in either order *)
   let count ~first ~second =
     let checker = Checker.create si in
-    first checker ~txn:1;
-    second checker ~txn:1;
+    Checker.mark checker ~txn:1 first;
+    Checker.mark checker ~txn:1 second;
     Checker.feed checker (Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 1) ]);
     Checker.finalize checker;
     let d = (Checker.report checker).Checker.degradation in
@@ -491,18 +477,16 @@ let test_channel_partition_is_exact () =
   in
   Alcotest.(check (pair int int))
     "wire first: wire channel owns it" (1, 0)
-    (count ~first:Checker.mark_ambiguous_commit
-       ~second:Checker.mark_coord_ambiguous);
+    (count ~first:Checker.Wire ~second:Checker.Coord);
   Alcotest.(check (pair int int))
     "coordinator first: coordinator channel owns it" (0, 1)
-    (count ~first:Checker.mark_coord_ambiguous
-       ~second:Checker.mark_ambiguous_commit)
+    (count ~first:Checker.Coord ~second:Checker.Wire)
 
 let test_lost_beats_coord_ambiguous () =
   (* txn 1 is both coordinator-ambiguous and in a failover's lost
      suffix: the leader mark wins, the observation never resolves it *)
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~txn:1 Checker.Coord;
   Checker.note_failover checker ~at:50 ~epoch:2 ~lost:[ 1 ];
   List.iter (Checker.feed checker)
     [
@@ -524,7 +508,7 @@ let test_coord_violation_still_reported () =
      write is served to a committed read, yet a second committed read
      later observes the overwritten value — still a violation *)
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~txn:1 Checker.Coord;
   List.iter (Checker.feed checker)
     [
       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];

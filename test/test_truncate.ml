@@ -499,7 +499,7 @@ let parked_readers () =
   let x = Helpers.cell 0 and y = Helpers.cell 1 and z = Helpers.cell 2 in
   let prefix () =
     let c = Leopard.Checker.create il_sr in
-    Leopard.Checker.mark_ambiguous_commit c ~txn:1;
+    Leopard.Checker.(mark c ~txn:1 Wire);
     List.iter (Leopard.Checker.feed c)
       [
         Helpers.write ~client:1 ~txn:1 ~bef:10 ~aft:12 [ (x, 5) ];
@@ -523,7 +523,45 @@ let parked_readers () =
       ];
   }
 
-let snapshot_corpus () = [ stale_tpcc (); parked_readers () ]
+(* One transaction per outcome: T1 crashed, T2 a wire give-up that T3's
+   committed read resolves, T4 a coordinator give-up whose value T9
+   reads (still deferred at the cut), T5 lost at a failover.  T8
+   supersedes T7 on client 6.  The cut fills every [id] set; T9's
+   commit after it resolves T4. *)
+let every_outcome () =
+  let c = Helpers.cell in
+  let prefix () =
+    let ck = Leopard.Checker.create il_sr in
+    Leopard.Checker.(mark ck ~txn:1 Crashed);
+    Leopard.Checker.(mark ck ~txn:2 Wire);
+    Leopard.Checker.(mark ck ~txn:4 Coord);
+    Leopard.Checker.note_failover ck ~at:5 ~epoch:2 ~lost:[ 5 ];
+    List.iter (Leopard.Checker.feed ck)
+      [
+        Helpers.write ~client:1 ~txn:1 ~bef:10 ~aft:11 [ (c 1, 11) ];
+        Helpers.write ~client:2 ~txn:2 ~bef:12 ~aft:13 [ (c 2, 22) ];
+        Helpers.write ~client:4 ~txn:4 ~bef:14 ~aft:15 [ (c 4, 44) ];
+        Helpers.write ~client:5 ~txn:5 ~bef:16 ~aft:17 [ (c 5, 55) ];
+        Helpers.read ~client:3 ~txn:3 ~bef:20 ~aft:21 [ (c 2, 22) ];
+        Helpers.commit ~client:3 ~txn:3 ~bef:22 ~aft:23 ();
+        Helpers.write ~client:6 ~txn:7 ~bef:24 ~aft:25 [ (c 7, 77) ];
+        Helpers.read ~client:6 ~txn:8 ~bef:26 ~aft:27 [ (c 8, 0) ];
+        Helpers.read ~client:9 ~txn:9 ~bef:28 ~aft:29 [ (c 4, 44) ];
+      ];
+    ck
+  in
+  {
+    name = "every outcome";
+    il = il_sr;
+    prefix;
+    rest =
+      [
+        Helpers.commit ~client:6 ~txn:8 ~bef:30 ~aft:31 ();
+        Helpers.commit ~client:9 ~txn:9 ~bef:32 ~aft:33 ();
+      ];
+  }
+
+let snapshot_corpus () = [ stale_tpcc (); parked_readers (); every_outcome () ]
 
 let tag_of line =
   match String.index_opt line '\t' with
