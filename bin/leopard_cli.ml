@@ -11,12 +11,14 @@ module Flags = Leopard_harness.Flags
 module Marks = Leopard_harness.Marks
 module Session = Leopard_harness.Session
 
-(* Inference checkers get the marks the verifying session gets. *)
-let print_inference ~dbms marks (stream : Session.stream) =
+(* Each inferred profile is one relaxed session over the claim's
+   stream, marks and truncation cadence; none takes a checkpoint. *)
+let print_inference ~dbms ~gc_watermark marks stream =
   let verdicts =
-    Leopard.Level_inference.infer ~dbms
-      ~mark:(fun checker -> Marks.apply checker marks)
-      stream.iter
+    Leopard.Level_inference.infer ~dbms (fun profile ->
+        (Session.verify ~gc_watermark ~relaxed_reads:true profile marks
+           (Session.Sorted stream))
+          .report)
   in
   if verdicts = [] then
     Printf.printf "inference: no profiles known for dbms %s\n" dbms
@@ -100,7 +102,8 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
   let marks = Marks.of_codec contents ~skipped:(List.length skipped) in
   let shards = contents.Leopard_trace.Codec.c_shards in
   let rounds = List.length contents.c_prepares in
-  if infer then loading (fun () -> print_inference ~dbms marks stream);
+  if infer then
+    loading (fun () -> print_inference ~dbms ~gc_watermark marks stream);
   let cpu0 = Leopard_util.Clock.cpu () in
   let verified =
     loading (fun () ->
@@ -309,7 +312,7 @@ let run_workload ~dbms ~show_bugs ~record ~infer ~gc_watermark ~checkpoint
     Printf.printf "recorded : %s (%d traces)\n" path report.traces
   | None -> ());
   if infer then
-    print_inference ~dbms (Marks.of_outcome outcome)
+    print_inference ~dbms ~gc_watermark (Marks.of_outcome outcome)
       (Session.list_stream (Leopard_harness.Run.all_traces_sorted outcome));
   finish ~show_bugs report
 
@@ -339,6 +342,8 @@ let run show_bugs record check infer lenient
            };
          recording ~record:(Option.is_some record)
            ~chaos_rates:(Flags.chaos_rates flags);
+         mode ~check_mode:(Option.is_some check)
+           ~record:(Option.is_some record) ~lenient;
          Flags.validate flags;
        ]);
   let dbms = Flags.dbms flags in
@@ -379,7 +384,8 @@ let infer =
         ~doc:
           "Additionally report, for every isolation level the --dbms \
            offers, whether the history supports that claim (level \
-           inference).")
+           inference).  Each level is verified in turn as its own \
+           session, truncated at --gc-watermark like the claim's.")
 
 let gc_watermark =
   Arg.(
@@ -389,8 +395,8 @@ let gc_watermark =
           "Bounded-memory verification: truncate the checker's mirrored \
            state every N verified traces at the stream watermark, so \
            memory stays proportional to the active window instead of the \
-           whole history.  Verdicts are unchanged.  0 disables (the \
-           default, full-history mode).")
+           whole history, --infer's sessions included.  Verdicts are \
+           unchanged.  0 disables (the default, full-history mode).")
 
 let check_checkpoint =
   Arg.(
@@ -668,13 +674,30 @@ let campaign_run cells_sel list_cells seeds campaign_seed cell_txns
     exit 0
   end
 
+(* README's exit codes.  A flag cmdliner cannot parse is a usage error
+   too: exit 2, not cmdliner's 124, which CI reads as [timeout]'s hang. *)
+let exits verdicts =
+  List.map
+    (fun (code, doc) -> Cmd.Exit.info code ~doc)
+    (verdicts
+    @ [
+        (2, "usage error: a bad flag or value, or a file that cannot be read \
+             or written.");
+        (Cmd.Exit.internal_error, "internal error (an uncaught exception).");
+      ])
+
 let campaign_cmd =
   let doc =
     "sweep a seeded fault-campaign grid across a domain pool, with \
      checkpoint/resume and auto-shrinking reproducers"
   in
+  let exits =
+    exits
+      [ (0, "every cell matched its class expectation.");
+        (1, "some cell's outcome was unexpected.") ]
+  in
   Cmd.v
-    (Cmd.info "campaign" ~doc)
+    (Cmd.info "campaign" ~doc ~exits)
     Term.(
       const campaign_run $ campaign_cells $ campaign_list $ campaign_seeds
       $ campaign_seed_flag $ campaign_txns $ campaign_clients $ campaign_jobs
@@ -695,8 +718,18 @@ let run_term =
 
 let cmd =
   let doc = "verify isolation levels from client-side traces (Leopard)" in
+  let exits =
+    exits
+      [ (0, "verified: no violation, and the collection was complete.");
+        (1, "violation: at least one isolation violation proven.");
+        (3, "inconclusive: no violation proven, but the collection degraded.") ]
+  in
   (* a group with a default term keeps the historical flag-only
      invocation (leopard -w smallbank ...) working unchanged *)
-  Cmd.group ~default:run_term (Cmd.info "leopard" ~doc) [ campaign_cmd ]
+  Cmd.group ~default:run_term
+    (Cmd.info "leopard" ~doc ~exits)
+    [ campaign_cmd ]
 
-let () = exit (Cmd.eval cmd)
+let () =
+  let code = Cmd.eval cmd in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -29,13 +29,16 @@ let () =
     "ran a write-skew-prone workload on postgresql at snapshot isolation\n";
   Printf.printf "  (%d committed, %d aborted — no faults injected)\n\n"
     outcome.commits outcome.aborts;
-  let traces = Leopard_harness.Run.all_traces_sorted outcome in
+  let module Session = Leopard_harness.Session in
+  let marks = Leopard_harness.Marks.of_outcome outcome in
+  let stream =
+    Session.list_stream (Leopard_harness.Run.all_traces_sorted outcome)
+  in
   let verdicts =
-    Leopard.Level_inference.infer ~dbms:"postgresql"
-      ~mark:(fun checker ->
-        Leopard_harness.Marks.apply checker
-          (Leopard_harness.Marks.of_outcome outcome))
-      (fun feed -> List.iter feed traces)
+    Leopard.Level_inference.infer ~dbms:"postgresql" (fun profile ->
+        (Session.verify ~relaxed_reads:true profile marks
+           (Session.Sorted stream))
+          .report)
   in
   print_endline "which postgresql isolation claims does this history support?";
   Format.printf "%a" Leopard.Level_inference.pp_verdicts verdicts;

@@ -93,6 +93,8 @@ let read_file path =
 
 let skip_dirs = [ "_build"; ".git"; "lint_fixtures"; "node_modules" ]
 
+(* Expand files and directories into a sorted list of [.ml] paths,
+   skipping the [skip_dirs] subtrees. *)
 let collect_ml_files roots =
   let out = ref [] in
   let rec walk path =

@@ -24,10 +24,6 @@ val lint_source :
 
 val lint_file : ?zone:Zone.t -> string -> (file_result, string) result
 
-val collect_ml_files : string list -> string list
-(** Expand files/directories into a sorted list of [.ml] paths,
-    skipping [_build], [.git] and [lint_fixtures] subtrees. *)
-
 type stage_timings = {
   t_parse : float;  (** file reads + parsing *)
   t_syntactic : float;  (** the D/F/E single-file rule pass *)

@@ -7,7 +7,6 @@ type t = {
   mutable edge_count : int;
   mutable commits_seen : int;
   mutable cycles : int;
-  mutable searches : int;
 }
 
 let create ?(search_every = 1) profile =
@@ -23,7 +22,6 @@ let create ?(search_every = 1) profile =
       edge_count = 0;
       commits_seen = 0;
       cycles = 0;
-      searches = 0;
     }
   in
   Leopard.Checker.set_dep_hook checker (fun (d : Leopard.Dep.t) ->
@@ -43,7 +41,6 @@ let create ?(search_every = 1) profile =
 
 (* Full DFS 3-colour cycle search over the whole accumulated graph. *)
 let full_search t =
-  t.searches <- t.searches + 1;
   let color = Hashtbl.create (Hashtbl.length t.adj) in
   let found = ref false in
   let rec dfs node =
@@ -73,7 +70,6 @@ let finalize t =
   full_search t
 
 let cycles_found t = t.cycles
-let searches t = t.searches
 let nodes t = Hashtbl.length t.adj
 let edges t = t.edge_count
 let live_size t = Hashtbl.length t.adj + t.edge_count

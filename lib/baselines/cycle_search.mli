@@ -22,7 +22,6 @@ val feed : t -> Trace.t -> unit
 val finalize : t -> unit
 
 val cycles_found : t -> int
-val searches : t -> int
 val nodes : t -> int
 val edges : t -> int
 val live_size : t -> int

@@ -16,14 +16,6 @@ let expect_to_string = function
   | Crash -> "crash"
   | Stall -> "stall"
 
-let expect_of_string = function
-  | "pass" -> Some Pass
-  | "fail" -> Some Fail
-  | "any" -> Some Any
-  | "crash" -> Some Crash
-  | "stall" -> Some Stall
-  | _ -> None
-
 type clazz = {
   cname : string;
   workload : string;

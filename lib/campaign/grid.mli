@@ -26,7 +26,6 @@ type expect =
           its step budget must record [Timeout] *)
 
 val expect_to_string : expect -> string
-val expect_of_string : string -> expect option
 
 type clazz = {
   cname : string;

@@ -48,10 +48,6 @@ type outcome =
 
 type result = { cell : Grid.cell; outcome : outcome }
 
-val default_budget : txns:int -> int
-(** [(64 * txns) + 4096] program generations — generous for any honest
-    cell, deterministic for a wedged one. *)
-
 type prepared
 (** A cell with its reproducer line parsed. *)
 
@@ -64,7 +60,9 @@ val prepare : Grid.cell -> prepared
 val execute : ?step_budget:int -> prepared -> result
 (** Execute and verify one prepared cell through one offline
     {!Leopard_harness.Session.of_outcome}, whatever its plane.  Safe on
-    any domain. *)
+    any domain.  [step_budget] defaults to [(64 * txns) + 4096] program
+    generations: generous for any honest cell, deterministic for a
+    wedged one. *)
 
 val run : ?step_budget:int -> Grid.cell -> result
 (** [execute (prepare cell)], on the main domain. *)

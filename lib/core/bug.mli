@@ -10,10 +10,8 @@ type mechanism = Cr | Me | Fuw | Sc
 
 val mechanism_to_string : mechanism -> string
 
-val mechanism_rank : mechanism -> int
-(** Declaration-order rank (Cr = 0 … Sc = 3), for typed sorts. *)
-
 val compare_mechanism : mechanism -> mechanism -> int
+(** Declaration order (Cr < Me < Fuw < Sc), for typed sorts. *)
 
 type t = {
   mechanism : mechanism;

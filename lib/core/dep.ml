@@ -75,13 +75,6 @@ module Log = struct
      checker re-derives any order it needs from transaction ids *)
   let iter t f = Hashtbl.iter (fun _ d -> f d) t.entries
 
-  let forget_txn t txn =
-    match Hashtbl.find_opt t.by_txn txn with
-    | None -> ()
-    | Some keys ->
-      Hashtbl.remove t.by_txn txn;
-      List.iter (Hashtbl.remove t.entries) keys
-
   let txns t =
     Hashtbl.fold (fun txn _ acc -> txn :: acc) t.by_txn []
     |> List.sort_uniq Int.compare

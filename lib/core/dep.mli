@@ -46,14 +46,11 @@ module Log : sig
   val by_source : t -> (source * int) list
   val iter : t -> (dep -> unit) -> unit
 
-  val forget_txn : t -> int -> unit
-  (** Drop log entries touching a garbage-collected transaction. *)
-
   val txns : t -> int list
   (** Sorted list of transaction ids with at least one logged edge. *)
 
   val take_txn : t -> int -> dep list
-  (** [forget_txn] that also returns the removed deductions, so a
+  (** Drop the log entries touching a transaction and return them, so a
       truncating checker can fold them into accumulated tallies before
       the memory is reclaimed. *)
 

@@ -25,35 +25,23 @@ let strength (p : Il_profile.t) =
     | "SR" -> 4
     | _ -> 0)
 
-let infer ~dbms ?(mark = ignore) iter =
-  let checkers =
-    List.map
-      (fun profile ->
-        let checker = Checker.create ~relaxed_reads:true profile in
-        mark checker;
-        (profile, checker))
-      (List.sort
-         (fun a b -> Int.compare (strength a) (strength b))
-         (profiles_of_dbms dbms))
-  in
-  iter (fun trace -> List.iter (fun (_, c) -> Checker.feed c trace) checkers);
+let infer ~dbms verify =
   List.map
-    (fun (profile, checker) ->
-      Checker.finalize checker;
-      let report = Checker.report checker in
-      let violating_mechanisms =
-        List.sort_uniq String.compare
-          (List.map
-             (fun (b : Bug.t) -> Bug.mechanism_to_string b.mechanism)
-             report.Checker.bugs)
-      in
+    (fun profile ->
+      let report : Checker.report = verify profile in
       {
         profile;
-        passed = report.Checker.bugs_total = 0;
-        violations = report.Checker.bugs_total;
-        violating_mechanisms;
+        passed = report.bugs_total = 0;
+        violations = report.bugs_total;
+        violating_mechanisms =
+          List.sort_uniq String.compare
+            (List.map
+               (fun (b : Bug.t) -> Bug.mechanism_to_string b.mechanism)
+               report.bugs);
       })
-    checkers
+    (List.sort
+       (fun a b -> Int.compare (strength a) (strength b))
+       (profiles_of_dbms dbms))
 
 let strongest_passed verdicts =
   List.fold_left

@@ -249,6 +249,13 @@ let recording ~record ~chaos_rates =
       }
   else None
 
+let mode ~check_mode ~record ~lenient =
+  if record && check_mode then
+    Some { flag = "--record"; msg = "--check runs no workload to record" }
+  else if lenient && not check_mode then
+    Some { flag = "--lenient"; msg = "it applies only to --check FILE" }
+  else None
+
 let jobs ~flag v =
   (* 0 means "let the orchestrator pick the recommended domain count";
      anything negative is a typo. *)

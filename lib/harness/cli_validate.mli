@@ -80,6 +80,10 @@ val recording : record:bool -> chaos_rates:float list -> error option
     format has no line for lost traces or indeterminate transactions,
     so the file would re-check as a different history. *)
 
+val mode : check_mode:bool -> record:bool -> lenient:bool -> error option
+(** [--record] under [--check], or [--lenient] without it, would be
+    inert: a check runs no workload, and a run reads no trace file. *)
+
 val choice : flag:string -> known:string list -> string -> error option
 (** A name-valued flag ([--cell], [--fault], [--repl-ack], the plane
     fault names) must be one of [known]; the error lists them. *)

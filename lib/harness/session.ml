@@ -131,7 +131,7 @@ let finish t =
 
 (* The newest frame that validates, as (checker, cursor); anything else
    is a warning and a fresh start. *)
-let restore ~gc_every il (path, fingerprint) ~total =
+let restore ~gc_every ?relaxed_reads il (path, fingerprint) ~total =
   let frame = ref None in
   let warning =
     Ckpt.load ~path ~fingerprint (fun f ->
@@ -161,17 +161,18 @@ let restore ~gc_every il (path, fingerprint) ~total =
     | cursor when cursor < 0 || cursor > total ->
       reject (Printf.sprintf "cursor %d outside the %d-trace file" cursor total)
     | cursor -> (
-      match Checker.decode ~gc_every il snapshot with
+      match Checker.decode ~gc_every ?relaxed_reads il snapshot with
       | Ok checker -> (Some (checker, cursor), warnings)
       | Error msg -> reject (Printf.sprintf "snapshot rejected (%s)" msg)))
 
 let verify ?(gc_every = 512) ?(gc_watermark = 0) ?checkpoint ?(resume = false)
-    ?file ?(after_trace = ignore) il marks source =
+    ?file ?(after_trace = ignore) ?relaxed_reads il marks source =
   let ckpt = checkpoint_of ~gc_every ~gc_watermark ?file il checkpoint in
   let cursor = match source with Sorted _ -> true | Pipeline _ -> false in
   let restored, warnings =
     match (ckpt, source) with
-    | Some c, Sorted s when resume -> restore ~gc_every il c ~total:s.total
+    | Some c, Sorted s when resume ->
+      restore ~gc_every ?relaxed_reads il c ~total:s.total
     | Some _, Pipeline _ when resume ->
       invalid_arg "Session.verify: only a sorted source can resume"
     | _ -> (None, [])
@@ -184,7 +185,8 @@ let verify ?(gc_every = 512) ?(gc_watermark = 0) ?checkpoint ?(resume = false)
       t.applied <- marks;
       t
     | None ->
-      let t = make ~cursor ~gc_watermark (Checker.create ~gc_every il) ckpt in
+      let checker = Checker.create ~gc_every ?relaxed_reads il in
+      let t = make ~cursor ~gc_watermark checker ckpt in
       mark t marks;
       t
   in

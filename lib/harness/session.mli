@@ -1,7 +1,8 @@
 (** One verification session: a checker, the marks that govern its
     input, a trace source, a truncation cadence and an optional
-    checkpoint.  [leopard --check], verified workload runs,
-    {!Online.run}, campaign cells and the bench all verify through it.
+    checkpoint.  [leopard --check], verified workload runs, [--infer]
+    (one relaxed session per profile), {!Online.run}, campaign cells and
+    the bench all verify through it.
 
     {b The canonical mark order} ({!Marks.apply}):
     + lost traces, so a read whose write may sit on a lost trace is
@@ -80,6 +81,7 @@ val verify :
   ?resume:bool ->
   ?file:string ->
   ?after_trace:(int -> unit) ->
+  ?relaxed_reads:bool ->
   Leopard.Il_profile.t ->
   Marks.t ->
   source ->
@@ -91,8 +93,9 @@ val verify :
     fresh, with the same verdict.  [file] names the trace file a
     [Sorted] source was read from.
     [after_trace n] runs once the [n]-th trace and any cut it triggers
-    are done.  Raises [Invalid_argument] on a checkpoint without
-    [gc_watermark] or a resumed [Pipeline]. *)
+    are done.  [relaxed_reads] goes to {!Leopard.Checker.create}.
+    Raises [Invalid_argument] on a checkpoint without [gc_watermark] or
+    a resumed [Pipeline]. *)
 
 val of_outcome :
   ?gc_every:int ->

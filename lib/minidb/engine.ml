@@ -149,7 +149,6 @@ let begin_txn t ~client =
   txn
 
 let txn_id txn = txn.id
-let txn_client txn = txn.client
 let txn_alive txn = txn.state = Active
 
 let peek t cell =

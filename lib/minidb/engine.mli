@@ -81,7 +81,6 @@ val begin_txn : t -> client:int -> txn
     taken at its first operation, per the CR mechanism. *)
 
 val txn_id : txn -> int
-val txn_client : txn -> int
 
 val txn_alive : txn -> bool
 (** Still active (not committed, not aborted). *)

@@ -2,8 +2,6 @@ module Cell = Leopard_trace.Cell
 
 type dep_kind = Ww | Wr | Rw
 
-let dep_kind_to_string = function Ww -> "ww" | Wr -> "wr" | Rw -> "rw"
-
 let dep_kind_rank = function Ww -> 0 | Wr -> 1 | Rw -> 2
 
 type dep = {

@@ -19,8 +19,6 @@
 
 type dep_kind = Ww | Wr | Rw
 
-val dep_kind_to_string : dep_kind -> string
-
 type dep = {
   kind : dep_kind;
   from_txn : int;

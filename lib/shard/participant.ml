@@ -126,8 +126,6 @@ let freeze t =
   | Some _ -> ()
   | None -> t.frozen_ts <- Some t.applied_ts
 
-let prepared_count t = Hashtbl.length t.prepared
-
 let read t ~cells ~ts =
   List.map
     (fun cell ->

@@ -66,8 +66,6 @@ val freeze : t -> unit
 (** Freeze the serving horizon at the current [applied_ts] (idempotent);
     the {!Shard_fault.Stale_prepared_read} orphaned-lock lie. *)
 
-val prepared_count : t -> int
-
 val read :
   t ->
   cells:Leopard_trace.Cell.t list ->

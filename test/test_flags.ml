@@ -76,6 +76,37 @@ let test_cli_plane_off () =
            (String.split_on_char '\n' (String.trim text))))
     plane_off_cases
 
+(* A flag cmdliner cannot parse is a usage error like any other: exit 2,
+   not cmdliner's 124, which CI's [timeout] wrappers read as a hang.  So
+   is a flag that would be silently inert; no file is written. *)
+let test_cli_usage_exit_2 () =
+  let trace = Filename.temp_file "leopard_flags" ".trace" in
+  let out = Filename.temp_file "leopard_flags" ".trace" in
+  Sys.remove out;
+  Alcotest.(check int) "record" 0
+    (fst (Helpers.run_cli (base @ [ "--record"; trace ])));
+  List.iter
+    (fun (args, stderr) ->
+      let code, text = Helpers.run_cli args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": exit") 2 code;
+      Option.iter
+        (fun prefix ->
+          Alcotest.(check bool) (what ^ ": " ^ prefix) true
+            (String.starts_with ~prefix text))
+        stderr)
+    [
+      ([ "--bogus" ], None);
+      ([ "-n"; "abc" ], None);
+      ([ "campaign"; "--bogus" ], None);
+      ([ "-w"; "smallbank"; "-n"; "100"; "--lenient" ],
+        Some "invalid --lenient:");
+      ([ "--check"; trace; "--record"; out ], Some "invalid --record:");
+    ];
+  Alcotest.(check bool) "no file recorded under --check" false
+    (Sys.file_exists out);
+  Sys.remove trace
+
 let test_parse_errors () =
   (match Flags.parse [ "--no-such-flag" ] with
   | Ok _ -> Alcotest.fail "unknown option accepted"
@@ -187,6 +218,8 @@ let suite =
       test_validate_plane_off;
     Alcotest.test_case "CLI: plane-off values exit 2, one stderr line" `Quick
       test_cli_plane_off;
+    Alcotest.test_case "CLI: unparseable and inert flags exit 2" `Quick
+      test_cli_usage_exit_2;
     Alcotest.test_case "parse returns cmdliner's diagnostic" `Quick
       test_parse_errors;
     Alcotest.test_case "parse runs on the main domain only" `Quick

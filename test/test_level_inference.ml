@@ -1,14 +1,21 @@
 module W = Leopard_workload
+module H = Leopard_harness
 module Li = Leopard.Level_inference
 
-let run_traces ?(level = Minidb.Isolation.Snapshot_isolation) ?faults spec
+(* A run's history, verified against one profile per call as --infer
+   does: a relaxed session with the run's marks. *)
+let run_verifier ?(level = Minidb.Isolation.Snapshot_isolation) ?faults spec
     ~txns =
   let outcome =
     Helpers.run_workload ~clients:16 ~txns ~seed:77 ?faults ~spec
       ~profile:Minidb.Profile.postgresql ~level ()
   in
-  let traces = Leopard_harness.Run.all_traces_sorted outcome in
-  fun feed -> List.iter feed traces
+  let marks = H.Marks.of_outcome outcome in
+  let stream = H.Session.list_stream (H.Run.all_traces_sorted outcome) in
+  fun profile ->
+    (H.Session.verify ~relaxed_reads:true profile marks
+       (H.Session.Sorted stream))
+      .report
 
 let verdict_for verdicts name =
   List.find
@@ -16,11 +23,11 @@ let verdict_for verdicts name =
     verdicts
 
 let test_serializable_run_passes_everything () =
-  let traces =
-    run_traces ~level:Minidb.Isolation.Serializable
+  let verify =
+    run_verifier ~level:Minidb.Isolation.Serializable
       (W.Blindw.spec W.Blindw.RW) ~txns:800
   in
-  let verdicts = Li.infer ~dbms:"postgresql" traces in
+  let verdicts = Li.infer ~dbms:"postgresql" verify in
   List.iter
     (fun (v : Li.verdict) ->
       Alcotest.(check bool)
@@ -37,8 +44,8 @@ let test_si_run_with_skew_fails_sr () =
   (* the write-skew-prone workload at SI, no faults: legal SI behaviour
      that a correct SR certifier must forbid *)
   let p = W.Probes.for_fault Minidb.Fault.No_ssi in
-  let traces = run_traces p.spec ~txns:3_000 in
-  let verdicts = Li.infer ~dbms:"postgresql" traces in
+  let verify = run_verifier p.spec ~txns:3_000 in
+  let verdicts = Li.infer ~dbms:"postgresql" verify in
   Alcotest.(check bool) "SI passes" true
     (verdict_for verdicts "postgresql/SI").passed;
   Alcotest.(check bool) "RR passes (it is SI)" true
@@ -57,10 +64,10 @@ let test_rc_run_fails_si () =
   (* lost-update-prone RMW workload at read committed: no FUW protection,
      so the SI claim must fail on its FUW check *)
   let p = W.Probes.for_fault Minidb.Fault.No_fuw in
-  let traces =
-    run_traces ~level:Minidb.Isolation.Read_committed p.spec ~txns:3_000
+  let verify =
+    run_verifier ~level:Minidb.Isolation.Read_committed p.spec ~txns:3_000
   in
-  let verdicts = Li.infer ~dbms:"postgresql" traces in
+  let verdicts = Li.infer ~dbms:"postgresql" verify in
   Alcotest.(check bool) "RC passes" true
     (verdict_for verdicts "postgresql/RC").passed;
   let si = verdict_for verdicts "postgresql/SI" in
@@ -69,14 +76,16 @@ let test_rc_run_fails_si () =
     (List.mem "FUW" si.violating_mechanisms)
 
 let test_unknown_dbms () =
-  Alcotest.(check int) "empty" 0 (List.length (Li.infer ~dbms:"nosuch" ignore))
+  Alcotest.(check int) "empty" 0
+    (List.length
+       (Li.infer ~dbms:"nosuch" (fun _ -> Alcotest.fail "verified a profile")))
 
 let test_strength_order () =
-  let traces =
-    run_traces ~level:Minidb.Isolation.Serializable
+  let verify =
+    run_verifier ~level:Minidb.Isolation.Serializable
       (W.Blindw.spec W.Blindw.RW) ~txns:200
   in
-  let verdicts = Li.infer ~dbms:"postgresql" traces in
+  let verdicts = Li.infer ~dbms:"postgresql" verify in
   let names =
     List.map (fun (v : Li.verdict) -> v.profile.Leopard.Il_profile.name) verdicts
   in

@@ -6,7 +6,8 @@
      seeds);
    - a session over a run and a session over that run's recorded file
      give the same report, on every fault plane the file format carries,
-     so [Marks.of_outcome] and [Marks.of_codec] cannot drift apart;
+     so [Marks.of_outcome] and [Marks.of_codec] cannot drift apart; so do
+     --infer's relaxed sessions, whose verdicts truncation keeps;
    - the live monitor refuses the failover planes;
    - --gc-watermark and --check-checkpoint work on a plain workload run;
    - --record refuses a chaos run, whose losses the format cannot hold;
@@ -165,6 +166,23 @@ let report_digest (r : Leopard.Checker.report) =
      ]
     @ List.map Leopard.Bug.to_string r.bugs)
 
+(* --infer over one stream: each postgresql profile's report digest, and
+   the printed verdicts. *)
+let inferred ~gc_watermark marks stream =
+  let digests = ref [] in
+  let verdicts =
+    Leopard.Level_inference.infer ~dbms:"postgresql" (fun profile ->
+        let report =
+          (H.Session.verify ~gc_watermark ~relaxed_reads:true profile marks
+             (H.Session.Sorted stream))
+            .report
+        in
+        digests := report_digest report :: !digests;
+        report)
+  in
+  ( List.rev !digests,
+    Format.asprintf "%a" Leopard.Level_inference.pp_verdicts verdicts )
+
 let test_run_equals_recording () =
   let il = Il.postgresql_si in
   let kinds = Hashtbl.create 5 in
@@ -188,32 +206,53 @@ let test_run_equals_recording () =
           [ ("E", markers.c_epochs <> []); ("U", markers.c_ambiguous <> []);
             ("L", markers.c_leaders <> []); ("S", markers.c_shards <> []);
             ("P", markers.c_prepares <> []) ];
+        let file_sources =
+          [
+            ( "sorted file",
+              H.Marks.of_codec contents ~skipped:0,
+              H.Session.list_stream
+                (List.sort Leopard_trace.Trace.compare_by_bef
+                   contents.c_traces) );
+            ("streamed file", H.Marks.of_codec markers ~skipped:0, stream);
+          ]
+        in
+        let untruncated = ref "" in
         List.iter
           (fun gc_watermark ->
-            let of_run = H.Session.of_outcome ~gc_watermark il outcome in
-            let of_file =
-              H.Session.verify ~gc_watermark il
-                (H.Marks.of_codec contents ~skipped:0)
-                (H.Session.Sorted
-                   (H.Session.list_stream
-                      (List.sort Leopard_trace.Trace.compare_by_bef
-                         contents.c_traces)))
-            in
-            let streamed =
-              H.Session.verify ~gc_watermark il
-                (H.Marks.of_codec markers ~skipped:0)
-                (H.Session.Sorted stream)
-            in
             let what side =
               Printf.sprintf "%s seed %d gc %d: %s, same report" name seed
                 gc_watermark side
             in
-            Alcotest.(check string) (what "sorted file")
-              (report_digest of_run.report)
-              (report_digest of_file.report);
-            Alcotest.(check string) (what "streamed file")
-              (report_digest of_run.report)
-              (report_digest streamed.report))
+            let of_run = H.Session.of_outcome ~gc_watermark il outcome in
+            (* --infer's relaxed sessions over the run, fed as a workload
+               run feeds them *)
+            let run_digests, verdicts =
+              inferred ~gc_watermark (H.Marks.of_outcome outcome)
+                (H.Session.list_stream (H.Run.all_traces_sorted outcome))
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s seed %d: four profiles inferred" name seed)
+              4 (List.length run_digests);
+            List.iter
+              (fun (side, marks, stream) ->
+                let of_file =
+                  H.Session.verify ~gc_watermark il marks
+                    (H.Session.Sorted stream)
+                in
+                Alcotest.(check string) (what side)
+                  (report_digest of_run.report)
+                  (report_digest of_file.report);
+                Alcotest.(check (list string))
+                  (what ("inferred from " ^ side))
+                  run_digests
+                  (fst (inferred ~gc_watermark marks stream)))
+              file_sources;
+            if gc_watermark = 0 then untruncated := verdicts
+            else
+              Alcotest.(check string)
+                (Printf.sprintf "%s seed %d: truncation keeps the verdicts"
+                   name seed)
+                !untruncated verdicts)
           [ 0; 97 ];
         Sys.remove path
       done)
@@ -261,6 +300,11 @@ let test_record_refuses_chaos () =
     (flag_of (recording ~record:false ~chaos_rates:[ 0.5 ]));
   Alcotest.(check (option string)) "record + chaos rejected" (Some "--record")
     (flag_of (recording ~record:true ~chaos_rates:[ 0.0; 0.01 ]));
+  Alcotest.(check (option string)) "record a run: fine" None
+    (flag_of (mode ~check_mode:false ~record:true ~lenient:false));
+  Alcotest.(check (option string)) "record + --check rejected"
+    (Some "--record")
+    (flag_of (mode ~check_mode:true ~record:true ~lenient:false));
   let path = Filename.temp_file "leopard_session" ".trace" in
   Sys.remove path;
   let ((_, text) as res) =
@@ -453,10 +497,20 @@ let test_check_bad_trace_line () =
 
 (* --- --infer applies the marks the verdict does ---------------------- *)
 
+(* The inference block of a CLI report. *)
+let inference_block text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         List.exists
+           (fun prefix -> String.starts_with ~prefix l)
+           [ "level inference"; "postgresql/"; "strongest"; "no claim" ])
+  |> String.concat "\n"
+
 (* A wire-fault recording carries ambiguous-commit markers.  Inference
    checkers that never saw them kept those transactions active, so a
    read of one's write was a CR violation under every claim, while the
-   verdict beside them was inconclusive. *)
+   verdict beside them was inconclusive.  Inference sessions truncate at
+   --gc-watermark like the claim's, with the same inference block. *)
 let test_infer_applies_marks () =
   List.iter
     (fun seed ->
@@ -470,7 +524,17 @@ let test_infer_applies_marks () =
         Alcotest.(check bool) (what ^ ": no claim fails") false
           (contains text "FAIL");
         Alcotest.(check bool) (what ^ ": SR supported") true
-          (contains text "strongest supported claim: postgresql/SR")
+          (contains text "strongest supported claim: postgresql/SR");
+        let ((_, truncated) as res) =
+          run_cli (args @ [ "--infer"; "--gc-watermark"; "100" ])
+        in
+        check_exit (what ^ ", truncated") 3 res;
+        Alcotest.(check bool) (what ^ ", truncated: cuts") true
+          (contains truncated "truncate : ");
+        Alcotest.(check string)
+          (what ^ ", truncated: same inference block")
+          (inference_block text)
+          (inference_block truncated)
       in
       infer "run"
         [ "-w"; "smallbank"; "-d"; "postgresql"; "-i"; "SI"; "-n"; "1000";

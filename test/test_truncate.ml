@@ -1114,7 +1114,12 @@ let test_cli_checkpointing_rules () =
             resume_check = true;
             kill_after = 5;
             check_mode = true;
-          }))
+          }));
+  Alcotest.(check (option string)) "--lenient with --check: fine" None
+    (flag_of (mode ~check_mode:true ~record:false ~lenient:true));
+  Alcotest.(check (option string)) "--lenient needs --check"
+    (Some "--lenient")
+    (flag_of (mode ~check_mode:false ~record:false ~lenient:true))
 
 let suite =
   [
