@@ -1403,66 +1403,6 @@ let shard_repl_bench () =
     (dense @ [ sparse ])
 
 (* ------------------------------------------------------------------ *)
-(* Campaign: grid sweep CPU time, serial vs domain pool *)
-
-let campaign_bench () =
-  section "Campaign — grid sweep CPU time, serial vs domain pool";
-  (* A miniature of the full preset grid: one class per fault plane,
-     scaled down so the bench leg stays fast.  Byte-identity of the
-     serial and parallel results DB is asserted, not just reported.
-     [cpu] is Sys.time: CPU time summed across domains, so the two
-     rows compare work done, not elapsed time. *)
-  let classes =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun c -> G.scale ~txns:200 ~clients:4 c)
-          (G.find_preset name))
-      [
-        "honest-baseline"; "honest-chaos"; "honest-recovery"; "honest-net";
-        "honest-repl"; "honest-shard"; "honest-stacked";
-      ]
-  in
-  let grid = G.make ~campaign_seed:42 ~seeds_per_class:4 classes in
-  let cells = G.cell_count grid in
-  let sweep jobs =
-    let t0 = cpu () in
-    let o = O.run ~opts:{ O.default_opts with jobs; shrink = false } grid in
-    (o, cpu () -. t0)
-  in
-  ignore (sweep 1) (* warm-up: exclude cold-start noise *);
-  let o_serial, t_serial = sweep 1 in
-  let jobs_n = Domain.recommended_domain_count () in
-  let o_par, t_par = sweep jobs_n in
-  let identical =
-    match (o_serial.O.json, o_par.O.json) with
-    | Some a, Some b -> String.equal a b
-    | (Some _ | None), _ -> false
-  in
-  assert identical;
-  Table.print
-    ~aligns:Table.[ Left ]
-    ~header:[ "sweep"; "jobs"; "cells"; "cpu(ms)" ]
-    [
-      [ "serial"; "1"; Table.fmt_int cells; fmt_ms t_serial ];
-      [ "parallel"; string_of_int jobs_n; Table.fmt_int cells; fmt_ms t_par ];
-    ];
-  print_endline
-    "\ncpu(ms) is Sys.time summed across domains, not elapsed time; \
-     serial and parallel results DB are byte-identical";
-  if !emit_json then begin
-    let oc = open_out "BENCH_campaign.json" in
-    Printf.fprintf oc
-      "{\n  \"cells\": %d,\n  \"classes\": %d,\n  \"serial_cpu_ms\": \
-       %.3f,\n  \"parallel_jobs\": %d,\n  \"parallel_cpu_ms\": %.3f,\n  \
-       \"byte_identical\": %b\n}\n"
-      cells (List.length classes) (t_serial *. 1e3) jobs_n (t_par *. 1e3)
-      identical;
-    close_out oc;
-    print_endline "\nwrote BENCH_campaign.json"
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1481,7 +1421,6 @@ let experiments =
     ("replication", replication_bench);
     ("shard", shard_bench);
     ("shard-repl", shard_repl_bench);
-    ("campaign", campaign_bench);
     ("micro", micro);
   ]
 

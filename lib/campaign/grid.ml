@@ -130,10 +130,15 @@ let scale ~txns ~clients c =
 
 (* {2 Presets}
 
-   The honest cells reuse the chaos-soak CI parameters (realistic rates
-   that exercise every degradation channel); the planted cells use
-   engine-level faults whose conviction is workload-driven rather than
-   environment-driven, so they convict across the whole seed range. *)
+   The [soak-*] classes are the fault-plane soak that CI sweeps: one
+   class per honest plane or composition and per planted fault, at 400
+   transactions.  The [honest-*] classes sample each plane on another
+   workload; the [planted-*] cells use engine-level faults
+   whose conviction is workload-driven rather than environment-driven,
+   so they convict across the whole seed range. *)
+
+let soak ?(workload = "smallbank") ~expect name flags =
+  clazz name ~workload ~txns:400 ~expect flags
 
 let presets =
   List.map
@@ -145,8 +150,8 @@ let presets =
          --chaos-delay 0.05";
       (* WAL damage is the one honest plane allowed to convict: a lost
          fsync can resurrect an overwritten value, a genuine provable
-         violation of the claimed guarantee (same policy as the CI
-         recovery soak leg) — hence Any, not Pass. *)
+         violation of the claimed guarantee (same policy as
+         soak-faulty-wal) — hence Any, not Pass. *)
       clazz "honest-recovery" ~workload:"smallbank" ~expect:Any
         "--max-retries 3 --crash-at 2000000 --crash-at 5000000 \
          --wal-fault-torn 0.1 --wal-fault-lost-fsync 0.3 --wal-fault-dup 0.2";
@@ -175,6 +180,94 @@ let presets =
         ~clients:16 ~expect:Fail "--fault no-fuw";
       clazz "planted-partial-commit" ~workload:"ycsb+t" ~expect:Fail
         "--fault partial-commit";
+      (* Every honest plane, alone and composed: no Violation, and every
+         cell completes within its step budget. *)
+      soak "soak-chaos" ~expect:Pass
+        "--chaos-crash 0.003 --chaos-drop 0.02 --chaos-dup 0.02 \
+         --chaos-delay 0.05";
+      soak "soak-net" ~expect:Pass
+        "--net-fault-drop 0.05 --net-fault-dup 0.05 --net-fault-reset 0.05 \
+         --net-fault-delay 0.05";
+      soak "soak-net-chaos" ~expect:Pass
+        "--net-fault-drop 0.03 --net-fault-reset 0.05 --chaos-crash 0.002 \
+         --chaos-drop 0.01";
+      soak "soak-clean-recovery" ~expect:Pass
+        "--crash-at 2000000 --crash-at 5000000 --max-retries 3";
+      soak "soak-repl-sync" ~expect:Pass
+        "--repl 2 --repl-ack sync --repl-hop-ns 20000 --repl-drop 0.05 \
+         --repl-dup 0.05";
+      soak "soak-repl-failover" ~expect:Pass
+        "--repl 2 --repl-ack async --repl-hop-ns 5000 \
+         --repl-partition 2000000:4000000 --repl-promote-on-partition \
+         --repl-read-prob 0.3";
+      soak "soak-shard-clean" ~expect:Pass "--shards 3";
+      soak "soak-shard-coord-crash" ~expect:Pass
+        "--shards 2 --shard-hop-ns 20000 --shard-drop 0.15 \
+         --shard-coord-crash-at 8000000";
+      soak "soak-shard-repl-failover" ~expect:Pass
+        "--shards 2 --repl-per-shard 2 --shard-hop-ns 20000 --shard-drop 0.1 \
+         --wal --shard-failover-at 0:4000000 --shard-failover-at 1:8000000 \
+         --shard-coord-crash-at 12000000";
+      (* chaos composed with failover and coordinator crashes: lost and
+         orphaned commits must stay marks, never violations *)
+      soak "soak-chaos-repl-failover" ~expect:Pass
+        "--repl 2 --repl-ack async --repl-hop-ns 5000 \
+         --repl-partition 2000000:4000000 --repl-promote-on-partition \
+         --repl-read-prob 0.3 --chaos-crash 0.003 --chaos-drop 0.02 \
+         --chaos-dup 0.02 --chaos-delay 0.05";
+      soak "soak-chaos-coord-crash" ~expect:Pass
+        "--shards 2 --shard-hop-ns 20000 --shard-drop 0.15 \
+         --shard-coord-crash-at 8000000 --chaos-crash 0.003 \
+         --chaos-drop 0.02 --chaos-dup 0.02 --chaos-delay 0.05";
+      (* Damaged recoveries, lying promotions and a lying 2PC plane plant
+         real violations that a given seed may or may not witness, so
+         these expect any: the checker must complete, never crash or
+         hang. *)
+      soak "soak-faulty-wal" ~expect:Any
+        "--crash-at 2000000 --max-retries 3 --wal-fault-lost-fsync 0.6 \
+         --wal-fault-dup 0.4";
+      soak "soak-repl-lagging" ~expect:Any
+        "--repl-ack async --repl-failover-at 3000000 \
+         --repl-fault promote-lagging --repl 2 --repl-hop-ns 5000 \
+         --repl-lag 1:1:3000000";
+      soak "soak-repl-lose-acked" ~expect:Any
+        "--repl-ack async --repl-failover-at 3000000 \
+         --repl-fault lose-acked-window --repl 1 --repl-hop-ns 1000000";
+      (* RMW-heavy workloads keep the cross-shard path dense enough to
+         witness the lies *)
+      soak "soak-shard-fracture" ~workload:"blindw-rw" ~expect:Any
+        "--shards 2 --shard-prepare-timeout-ns 400000 \
+         --shard-retransmit-ns 100000 --shard-fault fractured-commit \
+         --shard-hop-ns 50000 --shard-drop 0.15 \
+         --shard-coord-crash-at 10000000 --shard-coord-crash-at 20000000 \
+         --shard-coord-crash-at 30000000 --shard-coord-crash-at 40000000 \
+         --shard-coord-crash-at 50000000";
+      soak "soak-shard-commit-abort" ~workload:"blindw-rw" ~expect:Any
+        "--shards 2 --shard-prepare-timeout-ns 400000 \
+         --shard-retransmit-ns 100000 --shard-fault commit-after-abort \
+         --shard-hop-ns 200 --shard-drop 0.3";
+      soak "soak-shard-snapshot-skew" ~workload:"ycsb" ~expect:Any
+        "--shards 2 --shard-prepare-timeout-ns 400000 \
+         --shard-retransmit-ns 100000 --shard-fault snapshot-skew \
+         --shard-hop-ns 100000 --shard-drop 0.3 \
+         --shard-skew-bound-ns 100000000";
+      soak "soak-shard-stale-prep" ~workload:"blindw-rw" ~expect:Any
+        "--shards 2 --shard-prepare-timeout-ns 400000 \
+         --shard-retransmit-ns 100000 --shard-fault stale-prepared-read \
+         --shard-hop-ns 200 --shard-drop 0.3 --shard-skew-bound-ns 10000000 \
+         --shard-coord-crash-at 4000000";
+      (* a shard's replica set promotes a lagging follower yet claims a
+         clean rebuild (--shard-repl-drop 1.0 keeps the 2PC wire healthy
+         while replication delivers nothing), or a just-failed-over
+         primary fractures a commit *)
+      soak "soak-shard-repl-lagging" ~workload:"blindw-rw" ~expect:Any
+        "--shards 2 --repl-per-shard 2 --shard-repl-drop 1.0 \
+         --shard-repl-fault promote-lagging --shard-failover-at 0:4000000";
+      soak "soak-shard-repl-fracture" ~workload:"blindw-rw" ~expect:Any
+        "--shards 2 --repl-per-shard 2 --shard-hop-ns 50000 \
+         --shard-drop 0.15 --shard-fault fractured-commit \
+         --shard-prepare-timeout-ns 400000 --shard-retransmit-ns 100000 \
+         --shard-failover-at 0:4000000 --shard-failover-at 1:8000000";
       (* the runner plants a crash in, or removes the stop condition
          of, these two: see Runner *)
       clazz "selftest-crash" ~workload:"ycsb" ~txns:50 ~expect:Crash "";

@@ -80,9 +80,18 @@ val scale : txns:int -> clients:int -> clazz -> clazz
     non-positive size. *)
 
 val presets : (string * clazz) list
-(** The named cell classes the [campaign] subcommand accepts: honest
-    cells across all six fault planes, planted engine faults the checker
-    must convict, and the two self-test cells. *)
+(** The named cell classes the [campaign] subcommand accepts, in
+    [--list-cells] order:
+    - [honest-*]: each fault plane sampled on its own workload;
+    - [planted-*]: engine faults the checker must convict;
+    - [soak-*]: CI's fault-plane soak, one class per soak leg and per
+      planted fault, at 400 transactions.  Honest legs expect [Pass];
+      WAL damage and the planted replication and shard lies expect
+      [Any], so they assert that every cell completes;
+    - the two self-test cells.
+
+    Every name fits the 24-character [cell :] column of the sweep
+    summary. *)
 
 val preset_names : string list
 val find_preset : string -> clazz option

@@ -59,34 +59,6 @@ let to_string = function
 
 let of_string s = List.find_opt (fun f -> String.equal (to_string f) s) all
 
-let description = function
-  | No_lock_on_noop_update ->
-    "updates writing an unchanged value skip their exclusive lock (dirty write)"
-  | Stale_read -> "reads return the version preceding the visible one"
-  | Predicate_read_ignores_locks ->
-    "predicate (range) locking reads neither take nor respect row X locks"
-  | Read_two_versions ->
-    "a read returns both its own pending write and a stale deleted version"
-  | No_fuw -> "first-updater-wins disabled: concurrent updates both commit"
-  | No_ssi -> "SSI certifier disabled: write skew admitted under serializable"
-  | Dirty_read -> "reads observe other transactions' uncommitted writes"
-  | Stmt_snapshot_under_txn_cr ->
-    "statement-level snapshots served where transaction-level was promised"
-  | Early_lock_release -> "exclusive locks released before commit"
-  | Snapshot_reset_on_write ->
-    "the transaction snapshot is re-taken at the first write"
-  | Mvto_no_check ->
-    "timestamp-ordering certifier admits newer-to-older dependencies"
-  | Ignore_own_writes -> "reads miss the transaction's own pending writes"
-  | Version_order_inversion ->
-    "a committed version is installed behind the current latest version"
-  | Read_aborted_version -> "reads may observe versions of aborted transactions"
-  | Partial_commit -> "commit installs only a prefix of the write set"
-  | Delayed_visibility ->
-    "commit acknowledges before versions become visible to others"
-  | Shared_lock_ignores_exclusive ->
-    "shared locks are granted while an exclusive lock is held"
-
 let expected_mechanism = function
   | No_lock_on_noop_update -> "ME"
   | Stale_read -> "CR"

@@ -56,9 +56,6 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 
-val description : t -> string
-(** One-line human description (used by the bug-hunt example). *)
-
 val expected_mechanism : t -> string
 (** Which of Leopard's four verifications is expected to flag the fault:
     "CR", "ME", "FUW" or "SC" (primary mechanism when several could). *)

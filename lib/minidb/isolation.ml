@@ -17,9 +17,6 @@ let level_of_string = function
   | "SR" | "sr" | "serializable" -> Some Serializable
   | _ -> None
 
-let all_levels =
-  [ Read_committed; Repeatable_read; Snapshot_isolation; Serializable ]
-
 type cr_level = Txn_level | Stmt_level
 
 type sc_kind = Ssi | Mvto | Occ_validate
@@ -48,14 +45,3 @@ let mechanism_letters m =
   if m.cr <> None then parts := "CR" :: !parts;
   if m.me_writes || m.me_reads then parts := "ME" :: !parts;
   String.concat "+" !parts
-
-let pp_mechanisms ppf m =
-  Format.fprintf ppf
-    "{me_writes=%b; me_locking_reads=%b; me_reads=%b; cr=%s; fuw=%b; sc=%s}"
-    m.me_writes m.me_locking_reads m.me_reads
-    (match m.cr with
-    | None -> "none"
-    | Some Txn_level -> "txn"
-    | Some Stmt_level -> "stmt")
-    m.fuw
-    (match m.sc with None -> "none" | Some k -> sc_kind_to_string k)

@@ -22,7 +22,6 @@ type level =
 
 val level_to_string : level -> string
 val level_of_string : string -> level option
-val all_levels : level list
 
 (** Snapshot granularity of the CR mechanism. *)
 type cr_level =
@@ -56,8 +55,6 @@ type mechanisms = {
   sc : sc_kind option;
   lock_granularity : lock_granularity;
 }
-
-val pp_mechanisms : Format.formatter -> mechanisms -> unit
 
 val mechanism_letters : mechanisms -> string
 (** Compact "ME CR FUW SC" membership string for the Fig. 1 matrix. *)

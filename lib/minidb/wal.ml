@@ -32,21 +32,6 @@ let fault_of_string = function
   | "dup-replay" -> Some Dup_replay
   | _ -> None
 
-let fault_description = function
-  | Torn_tail ->
-    "the final log record tears mid-write: recovery replays only a \
-     strict prefix of its write set, leaving a committed transaction \
-     half-applied"
-  | Lost_fsync ->
-    "an acknowledged fsync window never reached disk: the newest tail \
-     records vanish and their updates are silently lost"
-  | Reordered_flush ->
-    "a record near the tail was flushed after its successors and lost \
-     in the crash: the log has an interior hole"
-  | Dup_replay ->
-    "recovery replays a superseded record a second time, resurrecting \
-     an overwritten version on top of the chain"
-
 (* A crash cannot retroactively overlap two committed trace intervals, so
    durability damage never fabricates the certainly-concurrent pairs that
    ME/FUW violations require; it surfaces as wrong version chains under

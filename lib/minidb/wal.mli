@@ -56,7 +56,6 @@ type fault =
 
 val fault_to_string : fault -> string
 val fault_of_string : string -> fault option
-val fault_description : fault -> string
 
 val expected_mechanism : fault -> string
 (** The verifier family expected to catch the planted anomaly.  All four

@@ -26,13 +26,6 @@ type resp_body =
 
 type response = { session : int; seq : int; body : resp_body }
 
-let body_kind = function
-  | Begin -> "begin"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Commit _ -> "commit"
-  | Abort -> "abort"
-
 (* Replication traffic rides the same faulty links as client traffic but
    is a separate vocabulary: a replica session never speaks the
    request/response protocol and a client session never sees a
@@ -41,10 +34,6 @@ let body_kind = function
 type repl_msg =
   | Repl_append of { follower : int; index : int; record : Minidb.Wal.record }
   | Repl_ack of { follower : int; through : int }
-
-let repl_kind = function
-  | Repl_append _ -> "repl-append"
-  | Repl_ack _ -> "repl-ack"
 
 (* Two-phase-commit traffic between the coordinator and shard
    participants rides the same faulty links (one session per shard), as
@@ -63,10 +52,3 @@ type tpc_msg =
   | Tpc_decision of { shard : int; seq : int; record : Minidb.Wal.record }
   | Tpc_abort of { shard : int; txn : int }
   | Tpc_ack of { shard : int; through : int }
-
-let tpc_kind = function
-  | Tpc_prepare _ -> "tpc-prepare"
-  | Tpc_vote _ -> "tpc-vote"
-  | Tpc_decision _ -> "tpc-decision"
-  | Tpc_abort _ -> "tpc-abort"
-  | Tpc_ack _ -> "tpc-ack"

@@ -46,9 +46,6 @@ type resp_body =
 
 type response = { session : int; seq : int; body : resp_body }
 
-val body_kind : req_body -> string
-(** Short tag for logs/debugging ("begin", "read", ...). *)
-
 (** {2 Replication messages}
 
     Log shipping between the primary and its followers travels as
@@ -64,9 +61,6 @@ type repl_msg =
   | Repl_ack of { follower : int; through : int }
       (** cumulative: [follower] has applied every entry [<= through],
           so lost or reordered acks are subsumed by any later one *)
-
-val repl_kind : repl_msg -> string
-(** Short tag for logs/debugging ("repl-append" / "repl-ack"). *)
 
 (** {2 Two-phase-commit messages}
 
@@ -98,6 +92,3 @@ type tpc_msg =
           release [txn]'s prepared locks without applying *)
   | Tpc_ack of { shard : int; through : int }
       (** cumulative: the shard has applied every decision [<= through] *)
-
-val tpc_kind : tpc_msg -> string
-(** Short tag for logs/debugging ("tpc-prepare", "tpc-vote", ...). *)

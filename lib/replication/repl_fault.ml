@@ -41,26 +41,4 @@ let of_string = function
   | "split-brain" -> Some Split_brain
   | _ -> None
 
-let description = function
-  | Promote_lagging ->
-    "failover promotes the least caught-up follower and claims a clean \
-     promotion (lost suffix unreported)"
-  | Lose_acked_window ->
-    "a lossy failover is claimed clean: acked commits beyond the promoted \
-     follower's horizon vanish silently"
-  | Stale_follower_read ->
-    "follower reads are served at the replica's applied horizon even when \
-     it is behind the transaction's snapshot"
-  | Split_brain ->
-    "the deposed primary keeps committing for a window after promotion"
-
-(* The verifier family expected to catch each planted anomaly.  Silently
-   lost commits and stale horizons surface as reads served from an
-   impossible version chain (CR); two brains committing concurrent
-   updates to the same row are certainly-overlapping committed
-   co-updaters (FUW). *)
-let expected_mechanism = function
-  | Promote_lagging | Lose_acked_window | Stale_follower_read -> "CR"
-  | Split_brain -> "FUW"
-
 let has_fault faults f = List.mem f faults

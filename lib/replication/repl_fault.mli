@@ -32,11 +32,5 @@ type t =
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
-val description : t -> string
-
-val expected_mechanism : t -> string
-(** The verifier family expected to catch the planted anomaly
-    (["CR"] or ["FUW"]). *)
-
 val has_fault : t list -> t -> bool
 (** Set membership ([has_fault faults f]). *)

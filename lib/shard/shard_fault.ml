@@ -47,29 +47,4 @@ let of_string = function
   | "stale-prepared-read" -> Some Stale_prepared_read
   | _ -> None
 
-let description = function
-  | Fractured_commit ->
-    "a coordinator crash drops one shard's slice of a decided commit and \
-     compensates the sequence: one shard applied the transaction, one \
-     did not"
-  | Commit_after_abort ->
-    "a participant applies its prepared writes when the ABORT decision \
-     arrives, exposing an aborted transaction's values on its shard"
-  | Snapshot_skew ->
-    "a cross-shard read mixes per-shard horizons instead of one global \
-     snapshot: lagging shards serve from an older timeline"
-  | Stale_prepared_read ->
-    "prepared locks orphaned by a coordinator crash freeze the shard's \
-     serving horizon, which keeps answering later snapshots stale"
-
-(* The verifier family expected to catch each planted anomaly.  All four
-   surface as reads served values impossible under the global version
-   chain — a missing committed write (fractured commit), an aborted
-   write (G1a), or a superseded version (skew, stale horizon) — which is
-   exactly what the candidate-set read check proves. *)
-let expected_mechanism = function
-  | Fractured_commit | Commit_after_abort | Snapshot_skew
-  | Stale_prepared_read ->
-    "CR"
-
 let has_fault faults f = List.mem f faults

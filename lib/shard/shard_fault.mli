@@ -35,11 +35,5 @@ type t =
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
-val description : t -> string
-
-val expected_mechanism : t -> string
-(** The verifier family expected to catch the planted anomaly
-    (["CR"] for all four). *)
-
 val has_fault : t list -> t -> bool
 (** Set membership ([has_fault faults f]). *)

@@ -509,6 +509,14 @@ let test_shrink_keeps_planted_fault () =
   Alcotest.(check bool) "line carries --fault stale-read" true
     (Helpers.contains (G.cli_line shrunk) "--fault stale-read")
 
+(* The sweep summary prints each class name in a 24-character column. *)
+let test_preset_names_fit () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " fits the cell column") true
+        (String.length name <= 24))
+    G.preset_names
+
 let test_shrink_drops_repeated_flag () =
   let clazz =
     clazz "mislabeled" "smallbank" ~txns:40 ~expect:G.Fail
@@ -545,6 +553,8 @@ let suite =
       test_shrink_keeps_planted_fault;
     Alcotest.test_case "repeated flags shrink to one occurrence" `Quick
       test_shrink_drops_repeated_flag;
+    Alcotest.test_case "preset names fit the cell column" `Quick
+      test_preset_names_fit;
     Alcotest.test_case "shrunk reproducers replay byte-for-byte (50 seeds)"
       `Slow test_shrinker_replays;
     Alcotest.test_case "1000-cell six-plane grid: serial = parallel bytes"

@@ -162,7 +162,7 @@ let test_cells_agree_with_lines () =
       G.presets
   in
   let cells = G.cells (G.make ~seeds_per_class:2 classes) in
-  Alcotest.(check int) "26 cells" 26 (Array.length cells);
+  Alcotest.(check int) "66 cells" 66 (Array.length cells);
   Array.iter
     (fun (cell : G.cell) ->
       let what = G.cli_line cell in
@@ -227,6 +227,6 @@ let suite =
     Alcotest.test_case "reproducer lines keep every digit" `Quick
       test_lossless_rates;
     Helpers.qtest prop_rates_round_trip;
-    Alcotest.test_case "every preset cell agrees with its line (26 cells)"
+    Alcotest.test_case "every preset cell agrees with its line (66 cells)"
       `Slow test_cells_agree_with_lines;
   ]
