@@ -418,6 +418,10 @@ open Parsetree
 type state = {
   zone : Zone.t;
   basename : string;
+  tables : string list;
+      (* module names whose iterations walk hash order: [Hashtbl],
+         [Tbl], and every [Hashtbl.Make]/[MakeSeeded] instance the file
+         binds *)
   mutable found : raw list;
   (* positions (pos_cnum of the ident/constructor) absolved by an
      enclosing sort or fault-set membership test *)
@@ -439,13 +443,46 @@ let is_absolved st (loc : Location.t) = Hashtbl.mem st.absolved loc.loc_start.po
 
 (* --- D/F ident and constructor classification --------------------- *)
 
-let is_hashtbl_iteration parts =
+let is_hashtbl_iteration st parts =
   match List.rev parts with
   | ( "iter" | "fold" | "filter_map_inplace" | "to_seq" | "to_seq_keys"
     | "to_seq_values" )
     :: prev :: _ ->
-    prev = "Hashtbl" || prev = "Tbl"
+    List.mem prev st.tables
   | _ -> false
+
+(* The names a file binds to a [Hashtbl.Make] or [Hashtbl.MakeSeeded]
+   instance, at any depth: [module Itbl = Hashtbl.Make (...)] iterates in
+   hash order under whatever name it is given. *)
+let hashtbl_instances (str : structure) =
+  let found = ref [] in
+  let rec is_instance me =
+    match me.pmod_desc with
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+      match strip_stdlib (lid_parts txt) with
+      | [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> true
+      | _ -> false)
+    | Pmod_constraint (me, _) -> is_instance me
+    | _ -> false
+  in
+  let bind name me =
+    match name with
+    | Some name when is_instance me -> found := name :: !found
+    | Some _ | None -> ()
+  in
+  let module_binding (it : Ast_iterator.iterator) mb =
+    bind mb.pmb_name.txt mb.pmb_expr;
+    Ast_iterator.default_iterator.module_binding it mb
+  in
+  let expr (it : Ast_iterator.iterator) e =
+    (match e.pexp_desc with
+    | Pexp_letmodule ({ txt; _ }, me, _) -> bind txt me
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with module_binding; expr } in
+  it.structure it str;
+  !found
 
 let is_sort_head parts =
   match last_part parts with
@@ -483,7 +520,7 @@ let check_ident st (loc : Location.t) parts =
       "wall-clock read inside a campaign cell body; cell outcomes must be \
        pure functions of the cell"
   | _ -> ());
-  if is_hashtbl_iteration parts && not (is_absolved st loc) then
+  if is_hashtbl_iteration st parts && not (is_absolved st loc) then
     report st d003 loc
       (Printf.sprintf
          "%s iterates in hash order; sort the bindings (or justify with a \
@@ -530,7 +567,8 @@ let check_construct st (loc : Location.t) parts =
 let rec absolve_hashtbl_under st e =
   match e.pexp_desc with
   | Pexp_ident { txt; loc } ->
-    if is_hashtbl_iteration (strip_stdlib (lid_parts txt)) then absolve st loc
+    if is_hashtbl_iteration st (strip_stdlib (lid_parts txt)) then
+      absolve st loc
   | Pexp_apply (f, args) ->
     absolve_hashtbl_under st f;
     List.iter (fun (_, a) -> absolve_hashtbl_under st a) args
@@ -641,7 +679,15 @@ let is_sort_expr e =
   | _ -> false
 
 let check ~zone ~basename (str : structure) =
-  let st = { zone; basename; found = []; absolved = Hashtbl.create 64 } in
+  let st =
+    {
+      zone;
+      basename;
+      tables = "Hashtbl" :: "Tbl" :: hashtbl_instances str;
+      found = [];
+      absolved = Hashtbl.create 64;
+    }
+  in
   let expr (it : Ast_iterator.iterator) e =
     (match e.pexp_desc with
     | Pexp_apply (f, args) -> (

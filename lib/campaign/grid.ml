@@ -132,7 +132,8 @@ let scale ~txns ~clients c =
 
    The [soak-*] classes are the fault-plane soak that CI sweeps: one
    class per honest plane or composition and per planted fault, at 400
-   transactions.  The [honest-*] classes sample each plane on another
+   transactions (stale-prepared-read runs the bench's 800-transaction,
+   16-client shape).  The [honest-*] classes sample each plane on another
    workload; the [planted-*] cells use engine-level faults
    whose conviction is workload-driven rather than environment-driven,
    so they convict across the whole seed range. *)
@@ -251,11 +252,14 @@ let presets =
          --shard-retransmit-ns 100000 --shard-fault snapshot-skew \
          --shard-hop-ns 100000 --shard-drop 0.3 \
          --shard-skew-bound-ns 100000000";
-      soak "soak-shard-stale-prep" ~workload:"blindw-rw" ~expect:Any
-        "--shards 2 --shard-prepare-timeout-ns 400000 \
-         --shard-retransmit-ns 100000 --shard-fault stale-prepared-read \
-         --shard-hop-ns 200 --shard-drop 0.3 --shard-skew-bound-ns 10000000 \
-         --shard-coord-crash-at 4000000";
+      (* the bench shard leg's stale-prepared-read shape: at 400 blindw-rw
+         transactions the stale read rarely lands where a later read can
+         contradict it *)
+      clazz "soak-shard-stale-prep" ~workload:"cross-rmw" ~txns:800
+        ~clients:16 ~expect:Any
+        "--shards 2 --shard-hop-ns 970150 --shard-skew-bound-ns 19403012 \
+         --shard-prepare-timeout-ns 3880602 --shard-retransmit-ns 970150 \
+         --shard-coord-crash-at 6467670 --shard-fault stale-prepared-read";
       (* a shard's replica set promotes a lagging follower yet claims a
          clean rebuild (--shard-repl-drop 1.0 keeps the 2PC wire healthy
          while replication delivers nothing), or a just-failed-over

@@ -664,8 +664,7 @@ and check_item t (pr : pending_read) cell value =
             source = Dep.From_cr;
           };
         (* register for future rw derivation *)
-        if not (List.mem pr.reader v.readers) then
-          v.readers <- pr.reader :: v.readers;
+        Version_order.add_reader t.versions cell v pr.reader;
         (* rw to an already-known direct successor *)
         let rec successor = function
           | a :: b :: rest ->
@@ -866,17 +865,19 @@ let run_gc t = prune_to t (horizon t)
 (* Truncation: fold the verified prefix into the compact summary.
 
    [prune_to] already bounds the four mechanism mirrors, the deferred
-   heap and the transaction table; the one genuinely unbounded structure
-   left is the deduction log, whose entries are never removed because
-   [emit_dep] uses it to deduplicate re-deductions and [narrow] queries
-   ww edges between live chain versions.  Both uses only ever mention
-   transactions that appear in some live structure: a dependency can be
-   re-deduced only from live versions/readers/lock entries/FUW
-   entries/initial readers, and [narrow] only asks about live chain
-   versions.  So once a transaction has vanished from every live
-   structure, its log entries can be folded into accumulated tallies
-   and dropped — the summary keeps the counts (so reports agree with an
-   untruncated run) while the memory is reclaimed. *)
+   heap and the transaction table.  The deduction log is not pruned with
+   them, because [emit_dep] uses it to deduplicate re-deductions and
+   [narrow] queries ww edges between live chain versions.  Both uses
+   only ever mention transactions that appear in some live structure: a
+   dependency can be re-deduced only from live versions/readers/lock
+   entries/FUW entries/initial readers, and [narrow] only asks about
+   live chain versions.  So a cut walks each live structure once to
+   collect the transactions they name, then sweeps the log once: every
+   entry with an endpoint outside that set is folded into accumulated
+   tallies and dropped — the summary keeps the counts (so reports agree
+   with an untruncated run) while the memory is reclaimed.  The walk
+   over every chain and reader list remains; it grows with the cells
+   the history wrote. *)
 
 let truncate t ~watermark =
   let h = min watermark (horizon t) in
@@ -885,10 +886,10 @@ let truncate t ~watermark =
   let keep id = Hashtbl.replace retained id () in
   (* lint: allow hashtbl-order — building a membership set; commutative *)
   Hashtbl.iter (fun id _ -> keep id) t.txns;
-  List.iter keep (Version_order.referenced_txns t.versions);
-  List.iter keep (Me_verifier.referenced_txns t.me);
-  List.iter keep (Fuw_verifier.referenced_txns t.fuw);
-  List.iter keep (Sc_verifier.referenced_txns t.sc);
+  Version_order.iter_referenced_txns t.versions keep;
+  Me_verifier.iter_referenced_txns t.me keep;
+  Fuw_verifier.iter_referenced_txns t.fuw keep;
+  Sc_verifier.iter_referenced_txns t.sc keep;
   (* lint: allow hashtbl-order — building a membership set; commutative *)
   Cell.Tbl.iter
     (fun _ readers -> List.iter keep readers.order)
@@ -902,17 +903,12 @@ let truncate t ~watermark =
     t.awaiting;
   (* marked transactions can still be promoted (outcome resolution) or
      re-queried; every writer in [indeterminate_values] is one of them *)
-  List.iter keep (outcome_ids t (fun _ -> true));
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem retained id) then
-        List.iter
-          (fun (d : Dep.t) ->
-            t.truncated_deps <- t.truncated_deps + 1;
-            let r = Dep.source_rank d.source in
-            t.forgotten_by_source.(r) <- t.forgotten_by_source.(r) + 1)
-          (Dep.Log.take_txn t.log id))
-    (Dep.Log.txns t.log);
+  (* lint: allow hashtbl-order — building a membership set; commutative *)
+  Hashtbl.iter (fun id _ -> keep id) t.outcomes;
+  Dep.Log.sweep t.log ~keep:(Hashtbl.mem retained) (fun source ->
+      t.truncated_deps <- t.truncated_deps + 1;
+      let r = Dep.source_rank source in
+      t.forgotten_by_source.(r) <- t.forgotten_by_source.(r) + 1);
   t.truncations <- t.truncations + 1
 
 (* ------------------------------------------------------------------ *)

@@ -32,6 +32,18 @@ val source_rank : source -> int
 type t = { kind : kind; from_txn : int; to_txn : int; source : source }
 
 module Log : sig
+  (** The deduction log: every (kind, from, to) triple deduced so far,
+      with the source that deduced it first.
+
+      A logged edge owns no heap block.  The log keeps one row per
+      [from_txn] in an int-keyed table; a row is a small open-addressed
+      [int array] of [(to_txn, tag)] pairs, the tag packing the kind and
+      the source.  So an edge costs two words of its row plus the
+      table's slack, a row about seven words more, [add] and [mem] are
+      expected O(1) however many edges one transaction has, and any int
+      is a valid id.  Per-source counts are kept up to date, so
+      {!count} and {!by_source} cost nothing. *)
+
   type dep = t
   type t
 
@@ -39,23 +51,25 @@ module Log : sig
 
   val add : t -> dep -> bool
   (** Record a deduction; [false] if the (kind, from, to) triple was
-      already known. *)
+      already known, whose first source then stands. *)
 
   val mem : t -> kind -> int -> int -> bool
   val count : t -> int
+
   val by_source : t -> (source * int) list
-  val iter : t -> (dep -> unit) -> unit
+  (** Entries per source, sources without entries left out, in
+      {!all_sources} order. *)
 
-  val txns : t -> int list
-  (** Sorted list of transaction ids with at least one logged edge. *)
-
-  val take_txn : t -> int -> dep list
-  (** Drop the log entries touching a transaction and return them, so a
-      truncating checker can fold them into accumulated tallies before
-      the memory is reclaimed. *)
+  val sweep : t -> keep:(int -> bool) -> (source -> unit) -> unit
+  (** [sweep t ~keep dropped] removes every entry with an endpoint
+      that [keep] rejects, calling [dropped] with each removed entry's
+      source, in no particular order; entries with both endpoints kept
+      stay as they are.  One pass over the log, which is how a
+      truncating checker folds the settled transactions' entries into
+      its tallies. *)
 
   val entries : t -> dep list
-  (** All logged deductions in a canonical (kind, from, to, source)
-      order — deterministic regardless of insertion history, for
-      checkpoint serialization. *)
+  (** All logged deductions in a canonical (kind, from, to) order —
+      deterministic regardless of insertion history, for checkpoint
+      serialization. *)
 end

@@ -46,9 +46,10 @@ val register :
 
 val live_entries : t -> int
 
-val referenced_txns : t -> int list
-(** Sorted ids of every transaction with a retained registry entry — the
-    FUW contribution to the truncation retained-set. *)
+val iter_referenced_txns : t -> (int -> unit) -> unit
+(** Call [f] on the id of every transaction with a retained registry
+    entry, in no particular order and possibly more than once — the FUW
+    contribution to the truncation retained-set. *)
 
 val dump : t -> string list
 (** Serialize the registry as {!Leopard_trace.Fields} lines, row-major

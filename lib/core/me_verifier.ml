@@ -110,16 +110,11 @@ let discard t ~txn =
 
 let live_entries t = t.live
 
-let referenced_txns t =
-  let from_rows =
-    Hashtbl.fold
-      (fun _ entries acc ->
-        List.fold_left (fun acc e -> e.etxn :: acc) acc !entries)
-      t.rows []
-    |> List.sort_uniq Int.compare
-  in
-  Hashtbl.fold (fun txn _ acc -> txn :: acc) t.by_txn from_rows
-  |> List.sort_uniq Int.compare
+let iter_referenced_txns t f =
+  (* lint: allow hashtbl-order — callers collect a membership set *)
+  Hashtbl.iter (fun _ entries -> List.iter (fun e -> f e.etxn) !entries) t.rows;
+  (* lint: allow hashtbl-order — callers collect a membership set *)
+  Hashtbl.iter (fun txn _ -> f txn) t.by_txn
 
 (* Checkpoint codec.  Two kinds of line: [e] rows (one per lock entry,
    row-major sorted, entries in list order — [release] evaluates pairs in

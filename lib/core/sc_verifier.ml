@@ -42,9 +42,9 @@ let note_commit t ~txn ~first_iv ~terminal_iv =
 let nodes t = Hashtbl.length t.nodes
 let edges t = t.edge_count
 
-let referenced_txns t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes []
-  |> List.sort_uniq Int.compare
+let iter_referenced_txns t f =
+  (* lint: allow hashtbl-order — callers collect a membership set *)
+  Hashtbl.iter (fun id _ -> f id) t.nodes
 
 (* An rw(a -> b) edge is SSI-relevant only when a and b were certainly
    concurrent: b certainly began before a committed.  (A non-concurrent
@@ -127,13 +127,16 @@ let cycle_check t a b =
     ]
   else []
 
+let rec has_edge target (kind : Dep.kind) = function
+  | [] -> false
+  | (id, k) :: rest -> (id = target && k = kind) || has_edge target kind rest
+
 let add_dep t (d : Dep.t) =
   match
     (Hashtbl.find_opt t.nodes d.from_txn, Hashtbl.find_opt t.nodes d.to_txn)
   with
   | Some a, Some b when a.ntxn <> b.ntxn ->
-    let fresh = not (List.mem (b.ntxn, d.kind) a.out_edges) in
-    if not fresh then []
+    if has_edge b.ntxn d.kind a.out_edges then []
     else begin
       a.out_edges <- (b.ntxn, d.kind) :: a.out_edges;
       b.in_degree <- b.in_degree + 1;

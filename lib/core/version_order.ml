@@ -15,15 +15,23 @@ type version = {
 type chain = { mutable versions : version list (* ascending commit aft *) }
 
 (* [multi] indexes the chains holding two or more versions, the only
-   ones [prune] can shorten: a chain's single version is its own pivot. *)
+   ones [prune] can shorten: a chain's single version is its own pivot.
+   [hubs] holds, per cell, a membership table for each version whose
+   reader list outgrew [scan_limit]; other versions carry none. *)
 type t = {
   chains : chain Cell.Tbl.t;
   multi : chain Cell.Tbl.t;
+  hubs : (version * (int, unit) Hashtbl.t) list Cell.Tbl.t;
   mutable live : int;
 }
 
 let create () =
-  { chains = Cell.Tbl.create 4096; multi = Cell.Tbl.create 64; live = 0 }
+  {
+    chains = Cell.Tbl.create 4096;
+    multi = Cell.Tbl.create 64;
+    hubs = Cell.Tbl.create 8;
+    live = 0;
+  }
 
 let get_chain t cell =
   match Cell.Tbl.find_opt t.chains cell with
@@ -65,12 +73,49 @@ let chain t cell =
 
 let live_versions t = t.live
 
-let referenced_txns t =
-  Cell.Tbl.fold
-    (fun _ c acc ->
-      List.fold_left (fun acc v -> v.vtxn :: (v.readers @ acc)) acc c.versions)
-    t.chains []
-  |> List.sort_uniq Int.compare
+let scan_limit = 8
+
+type scan = Listed | Unlisted | Too_long
+
+(* Whether [reader] is among the first [n + 1] readers, or the list ends
+   before them without it, or it goes on past them. *)
+let rec scan n reader = function
+  | [] -> Unlisted
+  | r :: rest ->
+    if r = reader then Listed
+    else if n = 0 then Too_long
+    else scan (n - 1) reader rest
+
+let add_reader t cell v reader =
+  match scan scan_limit reader v.readers with
+  | Listed -> ()
+  | Unlisted -> v.readers <- reader :: v.readers
+  | Too_long ->
+    let hubs = Option.value ~default:[] (Cell.Tbl.find_opt t.hubs cell) in
+    let members =
+      match List.assq_opt v hubs with
+      | Some members -> members
+      | None ->
+        let members = Hashtbl.create 64 in
+        List.iter (fun r -> Hashtbl.replace members r ()) v.readers;
+        Cell.Tbl.replace t.hubs cell ((v, members) :: hubs);
+        members
+    in
+    if not (Hashtbl.mem members reader) then begin
+      Hashtbl.replace members reader ();
+      v.readers <- reader :: v.readers
+    end
+
+let iter_referenced_txns t f =
+  (* lint: allow hashtbl-order — callers collect a membership set *)
+  Cell.Tbl.iter
+    (fun _ c ->
+      List.iter
+        (fun v ->
+          f v.vtxn;
+          List.iter f v.readers)
+        c.versions)
+    t.chains
 
 (* Checkpoint codec: one line per version, cell-major sorted so the dump
    is deterministic whatever the hashtable's insertion history; versions
@@ -117,7 +162,7 @@ let prune t ~horizon =
      commutative drop count; a chain back to one version leaves the
      index *)
   Cell.Tbl.filter_map_inplace
-    (fun _cell c ->
+    (fun cell c ->
       (* The pivot for any snapshot taken at or after the horizon is at
          least the newest version with commit aft <= horizon.  Versions
          certainly installed before that pivot (aft <= pivot.bef) are
@@ -149,7 +194,13 @@ let prune t ~horizon =
             c.versions
         in
         dropped := !dropped + List.length garbage;
-        c.versions <- keep);
+        c.versions <- keep;
+        match Cell.Tbl.find_opt t.hubs cell with
+        | None -> ()
+        | Some hubs -> (
+          match List.filter (fun (v, _) -> List.memq v keep) hubs with
+          | [] -> Cell.Tbl.remove t.hubs cell
+          | hubs -> Cell.Tbl.replace t.hubs cell hubs));
       match c.versions with [ _ ] -> None | _ -> Some c)
     t.multi;
   t.live <- t.live - !dropped;

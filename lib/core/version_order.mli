@@ -47,9 +47,17 @@ val chain : t -> Cell.t -> version list
 val live_versions : t -> int
 (** Total versions currently retained — the CR memory metric. *)
 
-val referenced_txns : t -> int list
-(** Sorted ids of every transaction a retained version references (its
-    writer and its matched readers) — the cell-mirror contribution to
+val add_reader : t -> Cell.t -> version -> int -> unit
+(** Register [reader] as matched to [cell]'s version [v], unless it
+    already is: [v.readers] gains it at the head, so the list stays
+    newest first with each reader once.  Expected O(1): a short list is
+    scanned, and a version with many readers gets a membership table,
+    dropped when {!prune} drops the version. *)
+
+val iter_referenced_txns : t -> (int -> unit) -> unit
+(** Call [f] on the id of every transaction a retained version
+    references (its writer and its matched readers), in no particular
+    order and possibly more than once — the cell-mirror contribution to
     the truncation retained-set. *)
 
 val dump : t -> string list

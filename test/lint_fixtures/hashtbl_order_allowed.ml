@@ -11,3 +11,7 @@ let drop_empty h =
 let pairs h = List.of_seq (Hashtbl.to_seq h)
 let keys h = List.of_seq (Hashtbl.to_seq_keys h)
 let values h = List.of_seq (Hashtbl.to_seq_values h)
+
+module Itbl = Hashtbl.Make (Int)
+
+let renamed h = Itbl.iter (fun k v -> Printf.printf "%d=%d\n" k v) h

@@ -426,6 +426,59 @@ let test_deduction_log_exposed () =
   Alcotest.(check bool) "wr 1->2 deduced" true
     (Checker.deduced checker Leopard.Dep.Wr 1 2)
 
+(* A hub: 2,000 transactions read the one version of [x], and reader
+   1,000 reads it again after 500 later readers have registered.
+   Registration is exact — each reader is on the version's list once,
+   newest first — and costs O(1) a read, which the 100,000-reader form
+   of this history needs to finish in seconds. *)
+let test_hub_readers_registered_once () =
+  let n = 2000 and twice = 1000 in
+  let read ~client i bef =
+    Helpers.read ~client ~txn:i ~bef ~aft:(bef + 1) [ (x, 1) ]
+  in
+  let reader i =
+    if i = twice then
+      let later = (10 * (i + 500)) + 6 in
+      [
+        read ~client:8 i (10 * i); read ~client:8 i later;
+        Helpers.commit ~client:8 ~txn:i ~bef:(later + 2) ~aft:(later + 3) ();
+      ]
+    else
+      let client = i mod 8 in
+      [
+        read ~client i (10 * i);
+        Helpers.commit ~client ~txn:i ~bef:((10 * i) + 2)
+          ~aft:((10 * i) + 3) ();
+      ]
+  in
+  let traces =
+    Helpers.write ~txn:0 ~bef:1 ~aft:2 [ (x, 1) ]
+    :: Helpers.commit ~txn:0 ~bef:3 ~aft:4 ()
+    :: List.concat (List.init n (fun k -> reader (k + 1)))
+    |> List.sort Leopard_trace.Trace.compare_by_bef
+  in
+  let checker = Checker.create sr in
+  List.iter (Checker.feed checker) traces;
+  Checker.finalize checker;
+  let r = Checker.report checker in
+  Alcotest.(check bool) "verified" true (Checker.verdict r = Checker.Verified);
+  let readers =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char '\t' line with
+        | "vo" :: fields -> (
+          match List.rev fields with
+          | readers :: _ ->
+            Some (List.map int_of_string (String.split_on_char ',' readers))
+          | [] -> None)
+        | _ -> None)
+      (Checker.encode checker)
+  in
+  Alcotest.(check (list (list int)))
+    "one vo record, every reader once, newest first"
+    [ List.init n (fun k -> n - k) ]
+    readers
+
 let suite =
   [
     Alcotest.test_case "clean serial history" `Quick test_clean_serial_history;
@@ -465,4 +518,6 @@ let suite =
     Alcotest.test_case "feed rejects unsorted" `Quick test_feed_rejects_unsorted;
     Alcotest.test_case "gc stability" `Quick test_gc_stability;
     Alcotest.test_case "deduction log exposed" `Quick test_deduction_log_exposed;
+    Alcotest.test_case "hub version registers each reader once" `Quick
+      test_hub_readers_registered_once;
   ]
