@@ -5,10 +5,12 @@
      dune exec bench/main.exe -- fig4      # one experiment
      dune exec bench/main.exe -- fig11 fig14
 
-   Experiments: fig4 fig10 fig11 fig12 fig13 fig14 bugs profiles micro.
-   Absolute numbers differ from the paper (simulator vs the authors'
-   testbed); the shapes — who wins, by what factor, which direction each
-   knob bends a curve — are the reproduction target (see EXPERIMENTS.md). *)
+   Experiments: fig4 fig10 fig11 fig12 fig13 fig14 bugs profiles online
+   ablation micro.  Absolute numbers differ from the paper (simulator vs
+   the authors' testbed); the shapes — who wins, by what factor, which
+   direction each knob bends a curve — are the reproduction target (see
+   EXPERIMENTS.md).  The fault planes' tables are campaign presets
+   ([leopard campaign --list-cells]), not experiments here. *)
 
 module W = Leopard_workload
 module H = Leopard_harness
@@ -496,24 +498,9 @@ let bugs () =
                   r_fault.Leopard.Checker.bugs))
         in
         let anomaly =
-          let tally = Hashtbl.create 8 in
-          List.iter
-            (fun (b : Leopard.Bug.t) ->
-              match b.anomaly with
-              | Some a ->
-                Hashtbl.replace tally a
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt tally a))
-              | None -> ())
-            r_fault.Leopard.Checker.bugs;
-          Hashtbl.fold
-            (fun a n best ->
-              match best with
-              | Some (_, m) when m >= n -> best
-              | _ -> Some (a, n))
-            tally None
-          |> function
-          | Some (a, _) -> Leopard.Anomaly.to_string a
-          | None -> "-"
+          match Leopard.Report_pp.anomaly_census r_fault with
+          | (a, _) :: _ -> Leopard.Anomaly.to_string a
+          | [] -> "-"
         in
         [
           Minidb.Fault.to_string p.fault;
@@ -663,71 +650,6 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* Online mode: live verification attached to the running workload *)
 
-let emit_json = ref false
-
-(* Bounded-memory streamed soak: a synthetic, provably serializable
-   workload generated on the fly (nothing materialized), pushed through
-   the two-level pipeline into a truncating checker.  Transaction i
-   reads the previous value of cell (i mod cells), overwrites it with
-   the unique value i+1 and commits, all in disjoint intervals — every
-   dependency is Direct and the verdict must be Verified at any scale.
-   The point of the experiment is the memory column: peak live state is
-   a function of the truncation window, not of history length. *)
-let online_soak ~clients ~cells ~window ~txns =
-  let next = Array.make clients 0 in
-  let queues = Array.init clients (fun _ -> Queue.create ()) in
-  let cell i = Leopard_trace.Cell.make ~table:0 ~row:(i mod cells) ~col:0 in
-  let gen c =
-    let i = (next.(c) * clients) + c in
-    if i >= txns then false
-    else begin
-      next.(c) <- next.(c) + 1;
-      let t = i * 8 in
-      let mk ts_bef ts_aft payload =
-        { Leopard_trace.Trace.ts_bef; ts_aft; txn = i; client = c; payload }
-      in
-      if i >= cells then
-        Queue.push
-          (mk t (t + 1)
-             (Leopard_trace.Trace.Read
-                {
-                  items =
-                    [
-                      {
-                        Leopard_trace.Trace.cell = cell i;
-                        value = i - cells + 1;
-                      };
-                    ];
-                  locking = false;
-                }))
-          queues.(c);
-      Queue.push
-        (mk (t + 2) (t + 3)
-           (Leopard_trace.Trace.Write
-              [ { Leopard_trace.Trace.cell = cell i; value = i + 1 } ]))
-        queues.(c);
-      Queue.push (mk (t + 4) (t + 5) Leopard_trace.Trace.Commit) queues.(c);
-      true
-    end
-  in
-  let sources =
-    Array.init clients (fun c () ->
-        match Queue.take_opt queues.(c) with
-        | Some tr -> Leopard.Pipeline.Item tr
-        | None ->
-          if gen c then (
-            match Queue.take_opt queues.(c) with
-            | Some tr -> Leopard.Pipeline.Item tr
-            | None -> Leopard.Pipeline.Closed)
-          else Leopard.Pipeline.Closed)
-  in
-  let t0 = cpu () in
-  let r =
-    H.Session.verify ~gc_watermark:window il_sr H.Marks.empty
-      (H.Session.Pipeline (Leopard.Pipeline.create ~sources ()))
-  in
-  (r.H.Session.report, r.H.Session.pipeline_peak, cpu () -. t0)
-
 let online () =
   section
     "Online verification — Leopard attached live (SVI-C deployment mode)";
@@ -766,154 +688,7 @@ let online () =
        live);
   print_endline
     "\npaper: the Verifier keeps pace with the running DBMS — the backlog\n\
-     of produced-but-unverified traces stays bounded by one batch window.";
-  let clients = 8 and cells = 64 and window = 20_000 in
-  let scales = [ 100_000; 300_000; 1_000_000 ] in
-  Printf.printf
-    "\nbounded-memory streamed soak (%d clients, truncate every %d traces):\n"
-    clients window;
-  let soak =
-    List.map
-      (fun txns ->
-        let report, pipeline_peak, dt =
-          online_soak ~clients ~cells ~window ~txns
-        in
-        (txns, report, pipeline_peak, dt))
-      scales
-  in
-  Table.print
-    ~header:
-      [ "txns"; "traces"; "peak live"; "pipe peak"; "cuts"; "deps folded";
-        "cpu(s)"; "traces/s"; "bugs" ]
-    (List.map
-       (fun (txns, (r : Leopard.Checker.report), pipeline_peak, dt) ->
-         [
-           Table.fmt_int txns;
-           Table.fmt_int r.Leopard.Checker.traces;
-           Table.fmt_int r.Leopard.Checker.peak_live;
-           Table.fmt_int pipeline_peak;
-           Table.fmt_int r.Leopard.Checker.truncations;
-           Table.fmt_int r.Leopard.Checker.truncated_deps;
-           Table.fmt_float ~decimals:2 dt;
-           Table.fmt_int
-             (int_of_float (float_of_int r.Leopard.Checker.traces /. dt));
-           string_of_int r.Leopard.Checker.bugs_total;
-         ])
-       soak);
-  print_endline
-    "\nthe memory claim: 10x the history, same peak live state — the\n\
-     truncating checker holds a window, not a history.";
-  (* The same claim under lossy collection, on the CLI's chaos run
-     (leopard -w smallbank -i SR --clients 8 --seed 1 --chaos-seed 3
-     --chaos-drop 0.001 --chaos-dup 0.01 --chaos-delay 0.02
-     --gc-watermark 5000): a lost terminal trace leaves its transaction
-     unterminated, and it must cost that transaction, not all pruning
-     after it. *)
-  let lossy_window = 5_000 in
-  Printf.printf
-    "\nlossy collection (SmallBank, 0.1%% dropped, 1%% duplicated, 2%% \
-     delayed; truncate every %d traces):\n"
-    lossy_window;
-  let lossy =
-    List.map
-      (fun txns ->
-        let chaos =
-          H.Chaos.config ~seed:3 ~drop_prob:0.001 ~dup_prob:0.01
-            ~delay_prob:0.02 ()
-        in
-        let outcome =
-          H.Run.execute
-            (H.Run.config ~clients:8 ~seed:1 ~chaos ~spec:(W.Smallbank.spec ())
-               ~profile:pg ~level:sr ~stop:(H.Run.Txn_count txns) ())
-        in
-        let t0 = cpu () in
-        let r = H.Session.of_outcome ~gc_watermark:lossy_window il_sr outcome in
-        (txns, r.H.Session.report, cpu () -. t0))
-      [ 10_000; 40_000 ]
-  in
-  Table.print
-    ~header:
-      [ "txns"; "traces"; "peak live"; "cuts"; "deps folded"; "unterminated";
-        "cpu(s)"; "bugs" ]
-    (List.map
-       (fun (txns, (r : Leopard.Checker.report), dt) ->
-         [
-           Table.fmt_int txns;
-           Table.fmt_int r.Leopard.Checker.traces;
-           Table.fmt_int r.Leopard.Checker.peak_live;
-           Table.fmt_int r.Leopard.Checker.truncations;
-           Table.fmt_int r.Leopard.Checker.truncated_deps;
-           Table.fmt_int r.Leopard.Checker.degradation.unterminated_txns;
-           Table.fmt_float ~decimals:2 dt;
-           string_of_int r.Leopard.Checker.bugs_total;
-         ])
-       lossy);
-  if !emit_json then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"live\": [\n";
-    List.iteri
-      (fun i (name, (r : H.Online.result)) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"workload\": \"%s\", \"traces\": %d, \"rounds\": %d, \
-              \"max_lag\": %d, \"final_lag\": %d, \"stranded\": %d, \
-              \"verify_cpu_s\": %.4f, \"bugs\": %d}%s\n"
-             name r.H.Online.report.Leopard.Checker.traces r.H.Online.rounds
-             r.H.Online.max_lag r.H.Online.final_lag r.H.Online.stranded
-             r.H.Online.verify_cpu_s
-             r.H.Online.report.Leopard.Checker.bugs_total
-             (if i = List.length live - 1 then "" else ",")))
-      live;
-    Buffer.add_string buf "  ],\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"soak\": {\n    \"clients\": %d, \"cells\": %d, \"window\": \
-          %d,\n    \"scales\": [\n"
-         clients cells window);
-    List.iteri
-      (fun i (txns, (r : Leopard.Checker.report), pipeline_peak, dt) ->
-        let verdict =
-          match Leopard.Checker.verdict r with
-          | Leopard.Checker.Verified -> "verified"
-          | Leopard.Checker.Violation -> "violation"
-          | Leopard.Checker.Inconclusive _ -> "inconclusive"
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "      {\"txns\": %d, \"traces\": %d, \"peak_live\": %d, \
-              \"pipeline_peak\": %d, \"truncations\": %d, \
-              \"truncated_deps\": %d, \"cpu_s\": %.3f, \"traces_per_s\": \
-              %.0f, \"verdict\": \"%s\", \"bugs\": %d}%s\n"
-             txns r.Leopard.Checker.traces r.Leopard.Checker.peak_live
-             pipeline_peak r.Leopard.Checker.truncations
-             r.Leopard.Checker.truncated_deps dt
-             (float_of_int r.Leopard.Checker.traces /. dt)
-             verdict r.Leopard.Checker.bugs_total
-             (if i = List.length soak - 1 then "" else ",")))
-      soak;
-    Buffer.add_string buf "    ]\n  },\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"lossy\": {\n    \"window\": %d,\n    \"scales\": [\n"
-         lossy_window);
-    List.iteri
-      (fun i (txns, (r : Leopard.Checker.report), dt) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "      {\"txns\": %d, \"traces\": %d, \"peak_live\": %d, \
-              \"truncations\": %d, \"truncated_deps\": %d, \
-              \"unterminated_txns\": %d, \"cpu_s\": %.3f, \"bugs\": %d}%s\n"
-             txns r.Leopard.Checker.traces r.Leopard.Checker.peak_live
-             r.Leopard.Checker.truncations r.Leopard.Checker.truncated_deps
-             r.Leopard.Checker.degradation.unterminated_txns dt
-             r.Leopard.Checker.bugs_total
-             (if i = List.length lossy - 1 then "" else ",")))
-      lossy;
-    Buffer.add_string buf "    ]\n  }\n}\n";
-    let oc = open_out "BENCH_online.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "\nwrote BENCH_online.json"
-  end
+     of produced-but-unverified traces stays bounded by one batch window."
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of DESIGN.md's design choices *)
@@ -986,423 +761,6 @@ let ablation () =
        [ 8; 64; 256; 1024 ])
 
 (* ------------------------------------------------------------------ *)
-(* Recovery: WAL overhead and replay speed *)
-
-let recovery () =
-  section "Recovery — WAL write overhead and replay speed";
-  let clients = 24 and txns = 8_000 in
-  let spec = W.Smallbank.spec () in
-  let timed_run ~wal =
-    let cfg =
-      H.Run.config ~clients ~seed:43 ~wal ~spec ~profile:pg ~level:sr
-        ~stop:(H.Run.Txn_count txns) ()
-    in
-    let t0 = cpu () in
-    let o = H.Run.execute cfg in
-    (o, cpu () -. t0)
-  in
-  let ops_per_s (o : H.Run.outcome) t =
-    if t <= 0.0 then 0.0
-    else float_of_int (o.H.Run.commits + o.H.Run.aborts) /. t
-  in
-  ignore (timed_run ~wal:false) (* warm-up: exclude cold-start noise *);
-  let o_off, t_off = timed_run ~wal:false in
-  let o_on, t_on = timed_run ~wal:true in
-  let tput_off = ops_per_s o_off t_off and tput_on = ops_per_s o_on t_on in
-  let overhead_pct =
-    if tput_off <= 0.0 then 0.0
-    else 100.0 *. (1.0 -. (tput_on /. tput_off))
-  in
-  print_endline "(a) engine throughput, WAL off vs on (smallbank, 8k txns):";
-  Table.print
-    ~aligns:Table.[ Left ]
-    ~header:[ "wal"; "txns"; "cpu(ms)"; "ops/s"; "records" ]
-    [
-      [
-        "off";
-        Table.fmt_int (o_off.H.Run.commits + o_off.H.Run.aborts);
-        fmt_ms t_off;
-        Table.fmt_float ~decimals:0 tput_off;
-        "-";
-      ];
-      [
-        "on";
-        Table.fmt_int (o_on.H.Run.commits + o_on.H.Run.aborts);
-        fmt_ms t_on;
-        Table.fmt_float ~decimals:0 tput_on;
-        Table.fmt_int o_on.H.Run.wal_appended;
-      ];
-    ];
-  Printf.printf "\nwal overhead: %.1f%% of wal-off throughput\n" overhead_pct;
-  (* (b) replay speed: append n commit records to a fault-free WAL, crash,
-     and time the Version_store rebuild *)
-  let replay_point n =
-    let wal = Minidb.Wal.create () in
-    for i = 0 to n - 1 do
-      Minidb.Wal.append wal
-        {
-          Minidb.Wal.txn = i;
-          client = i mod clients;
-          start_ts = (i * 100) + 1;
-          commit_ts = (i * 100) + 50;
-          writes =
-            List.init 4 (fun j ->
-                {
-                  Minidb.Wal.cell =
-                    Leopard_trace.Cell.make ~table:0
-                      ~row:(((i * 7) + j) mod 1024)
-                      ~col:0;
-                  value = (i * 4) + j;
-                  write_op = j;
-                  commit_ts = (i * 100) + 50 + j;
-                });
-        }
-    done;
-    let records, damage = Minidb.Wal.crash wal in
-    let t0 = cpu () in
-    let _store, summary =
-      Minidb.Recovery.replay ~initial:[] ~records
-        ~fresh_ts:(fun () -> (n * 100) + 1)
-        ~damage
-    in
-    let dt = cpu () -. t0 in
-    (summary, dt)
-  in
-  let replay_sizes = [ 2_000; 10_000; 50_000 ] in
-  let replay_rows =
-    List.map
-      (fun n ->
-        let summary, dt = replay_point n in
-        let per_s =
-          if dt <= 0.0 then 0.0 else float_of_int summary.replayed /. dt
-        in
-        (n, summary, dt, per_s))
-      replay_sizes
-  in
-  print_endline "\n(b) recovery replay (fault-free crash, 4 writes/record):";
-  Table.print
-    ~header:[ "records"; "versions"; "replay(ms)"; "records/s" ]
-    (List.map
-       (fun (n, (s : Minidb.Recovery.summary), dt, per_s) ->
-         [
-           Table.fmt_int n;
-           Table.fmt_int s.versions_installed;
-           fmt_ms dt;
-           Table.fmt_float ~decimals:0 per_s;
-         ])
-       replay_rows);
-  if !emit_json then begin
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"workload\": \"smallbank\",\n  \"txns\": %d,\n  \"clients\": \
-          %d,\n"
-         txns clients);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"wal_off_ops_per_s\": %.1f,\n" tput_off);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"wal_on_ops_per_s\": %.1f,\n" tput_on);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"wal_overhead_pct\": %.2f,\n" overhead_pct);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"wal_records\": %d,\n" o_on.H.Run.wal_appended);
-    Buffer.add_string buf "  \"replay\": [\n";
-    List.iteri
-      (fun i (n, (s : Minidb.Recovery.summary), dt, per_s) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"records\": %d, \"versions\": %d, \"cpu_ms\": %.3f, \
-              \"records_per_s\": %.1f}%s\n"
-             n s.versions_installed (dt *. 1e3) per_s
-             (if i = List.length replay_rows - 1 then "" else ",")))
-      replay_rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_recovery.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "\nwrote BENCH_recovery.json"
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Fault-plane legs: net, replication, shard, shard-repl
-
-   Each leg is a campaign grid — classes x 5 seeds x expected verdict —
-   swept by the orchestrator and printed as one table.  Honest classes
-   expect pass (never a Violation); planted lies and WAL damage expect
-   any, since whether the workload leaves a witness depends on the
-   seed.  Under the table each class prints its first cell's verdict
-   and [leopard] line: the line is the cell's definition, so it replays
-   from the CLI, which also prints the plane's protocol counters.
-   Fault instants are literals: fractions (d/3, d/2, ...) of the
-   simulated duration d of an unfaulted run of the same shape. *)
-
-module G = Leopard_campaign.Grid
-module O = Leopard_campaign.Orchestrator
-module Results = Leopard_campaign.Results
-module Runner = Leopard_campaign.Runner
-
-let verdict_mix (v : Results.verdicts) =
-  String.concat " "
-    (List.filter_map
-       (fun (n, tag) ->
-         if n > 0 then Some (Printf.sprintf "%d%s" n tag) else None)
-       [
-         (v.Results.verified, "V"); (v.Results.violation, "X");
-         (v.Results.inconclusive, "I"); (v.Results.crashed, "C");
-         (v.Results.timeout, "T");
-       ])
-
-let plane_leg ~title ~file ~campaign_seed ~note classes =
-  section title;
-  let seeds = 5 in
-  let grid = G.make ~campaign_seed ~seeds_per_class:seeds classes in
-  let o = O.run ~opts:{ O.default_opts with jobs = 0; shrink = false } grid in
-  let summaries = Results.summarize ~grid o.O.results in
-  let us f = Table.fmt_float ~decimals:1 (f /. 1e3) in
-  Table.print
-    ~aligns:Table.[ Left; Left; Right; Right; Right; Right; Right; Right; Left ]
-    ~header:
-      [
-        "class"; "expect"; "verdicts"; "bugs"; "commits"; "aborts";
-        "p50(us)"; "p99(us)"; "degradation (sum over seeds)";
-      ]
-    (List.map
-       (fun (s : Results.summary) ->
-         let p50, p99 =
-           match s.Results.latency with
-           | Some (p50, p99) -> (us p50, us p99)
-           | None -> ("-", "-")
-         in
-         [
-           s.Results.clazz.G.cname;
-           G.expect_to_string s.Results.clazz.G.expect;
-           verdict_mix s.Results.verdicts;
-           Table.fmt_int s.Results.bugs;
-           Table.fmt_int s.Results.commits;
-           Table.fmt_int s.Results.aborts;
-           p50;
-           p99;
-           String.concat ", "
-             (List.filter_map
-                (fun (name, sum, _) ->
-                  if sum > 0 then
-                    Some (Printf.sprintf "%s %s" name (Table.fmt_int sum))
-                  else None)
-                s.Results.degradation);
-         ])
-       summaries);
-  Printf.printf
-    "\nverdicts over %d seeds: V = Verified, X = Violation, I = \
-     Inconclusive; p50 is the median of the cells' p50s, p99 the worst \
-     cell's (simulated).  %s\n\n"
-    seeds note;
-  List.iteri
-    (fun i (s : Results.summary) ->
-      let r = o.O.results.(i * seeds) in
-      Printf.printf "%s: %s\n  %s\n" s.Results.clazz.G.cname
-        (Runner.kind_to_string (Runner.kind_of r.Runner.outcome))
-        (G.cli_line r.Runner.cell))
-    summaries;
-  (match o.O.json with
-  | Some json when !emit_json ->
-    let oc = open_out file in
-    output_string oc json;
-    close_out oc;
-    Printf.printf "\nwrote %s\n" file
-  | Some _ | None -> ());
-  match Results.unexpected o.O.results with
-  | [] -> ()
-  | bad ->
-    List.iter
-      (fun (r : Runner.result) ->
-        Printf.printf "UNEXPECTED: %s\n" (G.cli_line r.Runner.cell))
-      bad;
-    exit 1
-
-(* [(name, workload, expect, flags)] rows of one shape. *)
-let plane_classes ~txns ~clients rows =
-  List.map
-    (fun (name, workload, expect, flags) ->
-      G.clazz name ~workload ~txns ~clients ~expect flags)
-    rows
-
-let net_bench () =
-  plane_leg ~title:"Net — client wire per fault class" ~file:"BENCH_net.json"
-    ~campaign_seed:43
-    ~note:
-      "Each row draws its own derived seeds; at equal seeds wire/clean is \
-       byte-identical to in-process (test_net.ml).  The wire's faults \
-       only ever degrade the verdict."
-    (plane_classes ~txns:3_000 ~clients:16
-       (List.map
-          (fun (name, flags) -> (name, "smallbank", G.Pass, flags))
-          [
-            ("in-process", "");
-            ("wire/clean", "--net");
-            ("wire/delay", "--net-fault-delay 0.1");
-            ("wire/drop", "--net-fault-drop 0.05");
-            ("wire/dup", "--net-fault-dup 0.05");
-            ("wire/reorder", "--net-fault-reorder 0.05");
-            ("wire/reset", "--net-fault-reset 0.05");
-          ]))
-
-(* d = 23976571 (smallbank) and 19455069 (hot-rmw): 16 clients, 800
-   txns, seed 211. *)
-let replication_bench () =
-  let per_ack =
-    [
-      ("clean", "smallbank", G.Pass, "--repl 1");
-      ("hop", "smallbank", G.Pass, "--repl 1 --repl-hop-ns 20000");
-      ( "lossy-link", "smallbank", G.Pass,
-        "--repl 1 --repl-hop-ns 20000 --repl-drop 0.05 --repl-dup 0.05" );
-      ( "failover", "smallbank", G.Pass,
-        "--repl 1 --repl-hop-ns 239765 --repl-gate-timeout-ns 2397657 \
-         --repl-partition 7992190:15984380 --repl-promote-on-partition \
-         --repl-election-ns 1198828" );
-      ( "promote-lagging", "smallbank", G.Any,
-        "--repl 2 --repl-hop-ns 239765 --repl-lag 1:1:23976571 \
-         --repl-failover-at 11988285 --repl-fault promote-lagging" );
-      ( "lose-acked", "smallbank", G.Any,
-        "--repl 1 --repl-hop-ns 5994142 --repl-failover-at 11988285 \
-         --repl-fault lose-acked-window" );
-      ( "stale-read", "hot-rmw", G.Any,
-        "--repl 1 --repl-hop-ns 1945506 --repl-read-prob 0.8 \
-         --repl-staleness-ns 19455069 --repl-fault stale-follower-read" );
-      ( "split-brain", "hot-rmw", G.Any,
-        "--repl 2 --repl-failover-at 9727534 --repl-split-brain-ns 6485023 \
-         --repl-fault split-brain" );
-    ]
-  in
-  plane_leg
-    ~title:"Replication — ack mode x fault class: latency and verdict mix"
-    ~file:"BENCH_replication.json" ~campaign_seed:211
-    ~note:
-      "Honest faults (partitions, failovers, gate timeouts) only ever \
-       degrade to I; the planted faults (promote-lagging, lose-acked, \
-       stale-read, split-brain) surface as X wherever the workload leaves \
-       an observable contradiction.  Sync ack under long hops trades \
-       planted-fault detection for ambiguity: gates time out before the \
-       lie becomes provable."
-    (plane_classes ~txns:800 ~clients:16
-       (("single-node", "smallbank", G.Pass, "")
-       :: List.concat_map
-            (fun ack ->
-              List.map
-                (fun (name, workload, expect, flags) ->
-                  ( ack ^ "/" ^ name, workload, expect,
-                    flags ^ " --repl-ack " ^ ack ))
-                per_ack)
-            [ "sync"; "async" ]))
-
-(* d = 23690996 (smallbank) and 19403012 (cross-rmw): 16 clients, 800
-   txns, seed 307. *)
-let shard_bench () =
-  plane_leg
-    ~title:"Sharding — fault class: fast path vs 2PC, latency and verdict mix"
-    ~file:"BENCH_shard.json" ~campaign_seed:307
-    ~note:
-      "Environmental cells (hop, lossy-link, partition, coord-crash) only \
-       ever degrade to I — an honest coordinator crash orphans its \
-       undecided rounds into the coordinator-ambiguity channel.  The \
-       planted lies (fractured-commit, commit-after-abort, snapshot-skew, \
-       stale-prepared-read) surface as X wherever the workload leaves an \
-       observable contradiction."
-    (plane_classes ~txns:800 ~clients:16
-       [
-         ("unsharded", "smallbank", G.Pass, "");
-         ("clean", "smallbank", G.Pass, "--shards 3");
-         ("hop", "smallbank", G.Pass, "--shards 3 --shard-hop-ns 20000");
-         ( "lossy-link", "smallbank", G.Pass,
-           "--shards 3 --shard-hop-ns 20000 --shard-drop 0.05 --shard-dup \
-            0.05" );
-         ( "partition", "smallbank", G.Pass,
-           "--shards 3 --shard-hop-ns 236909 --shard-prepare-timeout-ns \
-            2369099 --shard-retransmit-ns 473819 --shard-partition \
-            1:7896998:15793997" );
-         ( "coord-crash", "smallbank", G.Pass,
-           "--shards 2 --shard-hop-ns 236909 --shard-prepare-timeout-ns \
-            1184549 --shard-retransmit-ns 473819 --shard-drop 0.1 \
-            --shard-coord-crash-at 11845498" );
-         ( "fractured-commit", "cross-rmw", G.Any,
-           "--shards 2 --shard-hop-ns 194030 --shard-prepare-timeout-ns \
-            1940301 --shard-retransmit-ns 388060 --shard-drop 0.05 \
-            --shard-coord-crash-at 4850753 --shard-coord-crash-at 9701506 \
-            --shard-coord-crash-at 14552259 --shard-fault fractured-commit" );
-         ( "commit-after-abort", "cross-rmw", G.Any,
-           "--shards 2 --shard-hop-ns 9701 --shard-prepare-timeout-ns 388060 \
-            --shard-retransmit-ns 97015 --shard-drop 0.3 --shard-fault \
-            commit-after-abort" );
-         ( "snapshot-skew", "cross-rmw", G.Any,
-           "--shards 2 --shard-hop-ns 970150 --shard-skew-bound-ns 19403012 \
-            --shard-prepare-timeout-ns 3880602 --shard-retransmit-ns 970150 \
-            --shard-fault snapshot-skew" );
-         ( "stale-prepared-read", "cross-rmw", G.Any,
-           "--shards 2 --shard-hop-ns 970150 --shard-skew-bound-ns 19403012 \
-            --shard-prepare-timeout-ns 3880602 --shard-retransmit-ns 970150 \
-            --shard-coord-crash-at 6467670 --shard-fault stale-prepared-read"
-         );
-       ])
-
-(* d = 14667548 (16 clients, 600 txns) and 7996173 (the sparse shape:
-   4 clients, 80 txns), cross-rmw, seed 413. *)
-let shard_repl_bench () =
-  let dense =
-    plane_classes ~txns:600 ~clients:16
-      (List.map
-         (fun (name, expect, flags) -> (name, "cross-rmw", expect, flags))
-         [
-           ("unstacked", G.Pass, "");
-           ("clean-stack", G.Pass, "--shards 3 --repl-per-shard 2");
-           ( "repl-hop", G.Pass,
-             "--shards 3 --repl-per-shard 2 --shard-hop-ns 20000" );
-           ( "lagging-replicas", G.Pass,
-             "--shards 2 --repl-per-shard 2 --shard-hop-ns 20000 \
-              --shard-repl-drop 0.5" );
-           ( "honest-failover", G.Pass,
-             "--shards 2 --repl-per-shard 2 --shard-hop-ns 73337 \
-              --shard-repl-drop 0.3 --shard-failover-at 0:7333774 \
-              --shard-failover-at 1:11000661" );
-           ( "stacked-chaos", G.Any,
-             "--shards 2 --repl-per-shard 2 --shard-hop-ns 146675 \
-              --shard-prepare-timeout-ns 1466754 --shard-retransmit-ns \
-              293350 --shard-repl-drop 0.3 --shard-coord-crash-at 4889182 \
-              --shard-crash 1:3666887 --shard-failover-at 0:7333774 \
-              --shard-failover-at 1:11000661 --wal-fault-torn 0.4 \
-              --wal-fault-lost-fsync 0.3 --wal-fault-window 3 \
-              --wal-fault-dup 0.2" );
-           ( "promote-lagging", G.Any,
-             "--shards 2 --repl-per-shard 2 --shard-repl-drop 1 \
-              --shard-failover-at 0:7333774 --shard-repl-fault \
-              promote-lagging" );
-         ])
-  in
-  let sparse =
-    G.clazz "fractured-on-failover" ~workload:"cross-rmw" ~txns:80 ~clients:4
-      ~expect:G.Any
-      "--shards 2 --repl-per-shard 2 --shard-hop-ns 79961 \
-       --shard-retransmit-ns 159923 --shard-repl-drop 0.3 \
-       --shard-failover-at 0:3998086 --shard-failover-at 1:5330782 \
-       --shard-fault fractured-commit"
-  in
-  plane_leg
-    ~title:
-      "Stacked planes — every shard a full minidb (WAL + replica set), \
-       composed crash/failover"
-    ~file:"BENCH_shard_repl.json" ~campaign_seed:413
-    ~note:
-      "Honest stacked cells (replication hops, lagging replicas, lossless \
-       failovers) at worst degrade to I — an honest failover re-acks the \
-       survivor prefix and the coordinator backfills the rest; \
-       stacked-chaos adds WAL damage, which may convict.  The planted lies \
-       (promote-lagging inside one shard's replica set, fractured-commit \
-       on a just-failed-over primary) surface as X wherever the workload \
-       leaves a witness; the fractured cell runs the sparse shape (4 \
-       clients, 80 txns) because at full density the spliced slice is \
-       overwritten before any read can observe the hole."
-    (dense @ [ sparse ])
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1416,27 +774,12 @@ let experiments =
     ("profiles", profiles);
     ("online", online);
     ("ablation", ablation);
-    ("recovery", recovery);
-    ("net", net_bench);
-    ("replication", replication_bench);
-    ("shard", shard_bench);
-    ("shard-repl", shard_repl_bench);
     ("micro", micro);
   ]
 
 let () =
-  let argv =
-    List.filter
-      (fun a ->
-        if a = "--json" then begin
-          emit_json := true;
-          false
-        end
-        else true)
-      (Array.to_list Sys.argv)
-  in
   let requested =
-    match argv with
+    match Array.to_list Sys.argv with
     | _ :: ([ arg ] as args) ->
       if List.mem arg [ "-h"; "--help" ] then begin
         Printf.printf "usage: main.exe [%s]\n"

@@ -611,11 +611,12 @@ let campaign_run cells_sel list_cells seeds campaign_seed cell_txns
   Printf.printf "sweep    : %d run, %d resumed from checkpoint, jobs %s\n"
     o.Campaign.Orchestrator.fresh o.Campaign.Orchestrator.resumed
     (if jobs_v = 0 then "auto" else string_of_int jobs_v);
+  (* V X I C T: verified, violation, inconclusive, crashed, timeout *)
   List.iter
     (fun (s : Campaign.Results.summary) ->
       let v = s.Campaign.Results.verdicts in
       Printf.printf
-        "cell     : %-24s %d/%d expected | V %d B %d I %d X %d T %d\n"
+        "cell     : %-24s %d/%d expected | V %d X %d I %d C %d T %d\n"
         s.Campaign.Results.clazz.Campaign.Grid.cname
         (s.Campaign.Results.cells - s.Campaign.Results.unexpected)
         s.Campaign.Results.cells v.Campaign.Results.verified

@@ -132,19 +132,182 @@ let scale ~txns ~clients c =
 
    The [soak-*] classes are the fault-plane soak that CI sweeps: one
    class per honest plane or composition and per planted fault, at 400
-   transactions (stale-prepared-read runs the bench's 800-transaction,
-   16-client shape).  The [honest-*] classes sample each plane on another
-   workload; the [planted-*] cells use engine-level faults
-   whose conviction is workload-driven rather than environment-driven,
-   so they convict across the whole seed range. *)
+   transactions (stale-prepared-read runs the [shard-*] classes'
+   800-transaction, 16-client shape).  The [honest-*] classes sample
+   each plane on another workload; the [planted-*] cells use
+   engine-level faults whose conviction is workload-driven rather than
+   environment-driven, so they convict across the whole seed range.
+
+   The [net-*], [repl-*], [shard-*] and [stack-*] classes are the fault
+   planes' tables: one class per fault class of a plane, at one shape
+   per plane.  Honest classes expect pass; planted lies and WAL damage
+   expect any, since whether the workload leaves a witness depends on
+   the seed.  Their fault instants are literals: fractions (d/3, d/2,
+   ...) of the simulated duration d of an unfaulted run of the same
+   shape at the plane's calibration seed. *)
 
 let soak ?(workload = "smallbank") ~expect name flags =
   clazz name ~workload ~txns:400 ~expect flags
 
+(* The client wire, 3,000 SmallBank transactions from 16 clients: its
+   faults only ever degrade the verdict.  At equal seeds net-wire-clean
+   is byte-identical to net-in-process (test_net.ml). *)
+let net =
+  List.map
+    (fun (name, flags) ->
+      clazz ("net-" ^ name) ~workload:"smallbank" ~txns:3_000 ~clients:16
+        ~expect:Pass flags)
+    [
+      ("in-process", "");
+      ("wire-clean", "--net");
+      ("wire-delay", "--net-fault-delay 0.1");
+      ("wire-drop", "--net-fault-drop 0.05");
+      ("wire-dup", "--net-fault-dup 0.05");
+      ("wire-reorder", "--net-fault-reorder 0.05");
+      ("wire-reset", "--net-fault-reset 0.05");
+    ]
+
+(* Replication, 800 transactions from 16 clients, every fault class
+   under both ack modes; d = 23976571 (smallbank) and 19455069
+   (hot-rmw) at seed 211.  Honest faults (partitions, failovers, gate
+   timeouts) only ever degrade to Inconclusive; the planted faults
+   (promote-lag, lose-acked, stale-read, split-brain) convict wherever
+   the workload leaves an observable contradiction.  Sync ack under
+   long hops trades planted-fault detection for ambiguity: gates time
+   out before the lie becomes provable.  stale-read and split-brain run
+   on hot-rmw, whose four hot cells are revisited often enough that a
+   lying replica set leaves a witness. *)
+let repl =
+  clazz "repl-single-node" ~workload:"smallbank" ~txns:800 ~clients:16
+    ~expect:Pass ""
+  :: List.concat_map
+       (fun ack ->
+         List.map
+           (fun (name, workload, expect, flags) ->
+             clazz
+               (Printf.sprintf "repl-%s-%s" ack name)
+               ~workload ~txns:800 ~clients:16 ~expect
+               (flags ^ " --repl-ack " ^ ack))
+           [
+             ("clean", "smallbank", Pass, "--repl 1");
+             ("hop", "smallbank", Pass, "--repl 1 --repl-hop-ns 20000");
+             ( "lossy-link", "smallbank", Pass,
+               "--repl 1 --repl-hop-ns 20000 --repl-drop 0.05 --repl-dup 0.05"
+             );
+             ( "failover", "smallbank", Pass,
+               "--repl 1 --repl-hop-ns 239765 --repl-gate-timeout-ns 2397657 \
+                --repl-partition 7992190:15984380 --repl-promote-on-partition \
+                --repl-election-ns 1198828" );
+             ( "promote-lag", "smallbank", Any,
+               "--repl 2 --repl-hop-ns 239765 --repl-lag 1:1:23976571 \
+                --repl-failover-at 11988285 --repl-fault promote-lagging" );
+             ( "lose-acked", "smallbank", Any,
+               "--repl 1 --repl-hop-ns 5994142 --repl-failover-at 11988285 \
+                --repl-fault lose-acked-window" );
+             ( "stale-read", "hot-rmw", Any,
+               "--repl 1 --repl-hop-ns 1945506 --repl-read-prob 0.8 \
+                --repl-staleness-ns 19455069 --repl-fault stale-follower-read"
+             );
+             ( "split-brain", "hot-rmw", Any,
+               "--repl 2 --repl-failover-at 9727534 --repl-split-brain-ns \
+                6485023 --repl-fault split-brain" );
+           ])
+       [ "sync"; "async" ]
+
+(* Sharding, 800 transactions from 16 clients; d = 23690996 (smallbank)
+   and 19403012 (cross-rmw) at seed 307.  Its unsharded baseline is
+   repl-single-node.  Environmental classes (hop, lossy-link,
+   partition, coord-crash) only ever degrade to Inconclusive: an honest
+   coordinator crash orphans its undecided rounds into the
+   coordinator-ambiguity channel.  The planted lies (these three and
+   soak-shard-stale-prep) convict wherever the workload leaves an
+   observable contradiction; they run on cross-rmw, one hot row on each
+   shard with half the transactions touching both, so the damaged rows
+   are revisited. *)
+let shard =
+  List.map
+    (fun (name, workload, expect, flags) ->
+      clazz ("shard-" ^ name) ~workload ~txns:800 ~clients:16 ~expect flags)
+    [
+      ("clean", "smallbank", Pass, "--shards 3");
+      ("hop", "smallbank", Pass, "--shards 3 --shard-hop-ns 20000");
+      ( "lossy-link", "smallbank", Pass,
+        "--shards 3 --shard-hop-ns 20000 --shard-drop 0.05 --shard-dup 0.05"
+      );
+      ( "partition", "smallbank", Pass,
+        "--shards 3 --shard-hop-ns 236909 --shard-prepare-timeout-ns 2369099 \
+         --shard-retransmit-ns 473819 --shard-partition 1:7896998:15793997" );
+      ( "coord-crash", "smallbank", Pass,
+        "--shards 2 --shard-hop-ns 236909 --shard-prepare-timeout-ns 1184549 \
+         --shard-retransmit-ns 473819 --shard-drop 0.1 \
+         --shard-coord-crash-at 11845498" );
+      ( "fractured-commit", "cross-rmw", Any,
+        "--shards 2 --shard-hop-ns 194030 --shard-prepare-timeout-ns 1940301 \
+         --shard-retransmit-ns 388060 --shard-drop 0.05 \
+         --shard-coord-crash-at 4850753 --shard-coord-crash-at 9701506 \
+         --shard-coord-crash-at 14552259 --shard-fault fractured-commit" );
+      ( "commit-after-abort", "cross-rmw", Any,
+        "--shards 2 --shard-hop-ns 9701 --shard-prepare-timeout-ns 388060 \
+         --shard-retransmit-ns 97015 --shard-drop 0.3 --shard-fault \
+         commit-after-abort" );
+      ( "snapshot-skew", "cross-rmw", Any,
+        "--shards 2 --shard-hop-ns 970150 --shard-skew-bound-ns 19403012 \
+         --shard-prepare-timeout-ns 3880602 --shard-retransmit-ns 970150 \
+         --shard-fault snapshot-skew" );
+    ]
+
+(* Stacked planes, every shard a full minidb (WAL + replica set), on
+   cross-rmw; d = 14667548 (16 clients, 600 txns) and 7996173 (the
+   sparse shape: 4 clients, 80 txns), seed 413.  Honest stacked classes
+   (replication hops, lagging replicas, lossless failovers) at worst
+   degrade to Inconclusive: an honest failover re-acks the survivor
+   prefix and the coordinator backfills the rest; stack-chaos adds WAL
+   damage, which may convict.  The planted lies (promote-lagging inside
+   one shard's replica set, fractured-commit on a just-failed-over
+   primary) convict wherever the workload leaves a witness; the
+   fracture runs the sparse shape because at full density the spliced
+   slice is overwritten before any read can observe the hole. *)
+let stack =
+  List.map
+    (fun (name, expect, flags) ->
+      clazz ("stack-" ^ name) ~workload:"cross-rmw" ~txns:600 ~clients:16
+        ~expect flags)
+    [
+      ("unstacked", Pass, "");
+      ("clean", Pass, "--shards 3 --repl-per-shard 2");
+      ("repl-hop", Pass, "--shards 3 --repl-per-shard 2 --shard-hop-ns 20000");
+      ( "lagging-replicas", Pass,
+        "--shards 2 --repl-per-shard 2 --shard-hop-ns 20000 \
+         --shard-repl-drop 0.5" );
+      ( "honest-failover", Pass,
+        "--shards 2 --repl-per-shard 2 --shard-hop-ns 73337 \
+         --shard-repl-drop 0.3 --shard-failover-at 0:7333774 \
+         --shard-failover-at 1:11000661" );
+      ( "chaos", Any,
+        "--shards 2 --repl-per-shard 2 --shard-hop-ns 146675 \
+         --shard-prepare-timeout-ns 1466754 --shard-retransmit-ns 293350 \
+         --shard-repl-drop 0.3 --shard-coord-crash-at 4889182 \
+         --shard-crash 1:3666887 --shard-failover-at 0:7333774 \
+         --shard-failover-at 1:11000661 --wal-fault-torn 0.4 \
+         --wal-fault-lost-fsync 0.3 --wal-fault-window 3 --wal-fault-dup 0.2"
+      );
+      ( "promote-lagging", Any,
+        "--shards 2 --repl-per-shard 2 --shard-repl-drop 1 \
+         --shard-failover-at 0:7333774 --shard-repl-fault promote-lagging" );
+    ]
+  @ [
+      clazz "stack-failover-fracture" ~workload:"cross-rmw" ~txns:80
+        ~clients:4 ~expect:Any
+        "--shards 2 --repl-per-shard 2 --shard-hop-ns 79961 \
+         --shard-retransmit-ns 159923 --shard-repl-drop 0.3 \
+         --shard-failover-at 0:3998086 --shard-failover-at 1:5330782 \
+         --shard-fault fractured-commit";
+    ]
+
 let presets =
   List.map
     (fun c -> (c.cname, c))
-    [
+    ([
       clazz "honest-baseline" ~workload:"ycsb" ~expect:Pass "";
       clazz "honest-chaos" ~workload:"ycsb+t" ~expect:Pass
         "--chaos-crash 0.003 --chaos-drop 0.02 --chaos-dup 0.02 \
@@ -252,9 +415,9 @@ let presets =
          --shard-retransmit-ns 100000 --shard-fault snapshot-skew \
          --shard-hop-ns 100000 --shard-drop 0.3 \
          --shard-skew-bound-ns 100000000";
-      (* the bench shard leg's stale-prepared-read shape: at 400 blindw-rw
-         transactions the stale read rarely lands where a later read can
-         contradict it *)
+      (* the shard-* classes' shape (this is also their
+         stale-prepared-read row): at 400 blindw-rw transactions the
+         stale read rarely lands where a later read can contradict it *)
       clazz "soak-shard-stale-prep" ~workload:"cross-rmw" ~txns:800
         ~clients:16 ~expect:Any
         "--shards 2 --shard-hop-ns 970150 --shard-skew-bound-ns 19403012 \
@@ -272,11 +435,14 @@ let presets =
          --shard-drop 0.15 --shard-fault fractured-commit \
          --shard-prepare-timeout-ns 400000 --shard-retransmit-ns 100000 \
          --shard-failover-at 0:4000000 --shard-failover-at 1:8000000";
-      (* the runner plants a crash in, or removes the stop condition
-         of, these two: see Runner *)
-      clazz "selftest-crash" ~workload:"ycsb" ~txns:50 ~expect:Crash "";
-      clazz "selftest-hang" ~workload:"ycsb" ~txns:50 ~expect:Stall "";
     ]
+    @ net @ repl @ shard @ stack
+    @ [
+        (* the runner plants a crash in, or removes the stop condition
+           of, these two: see Runner *)
+        clazz "selftest-crash" ~workload:"ycsb" ~txns:50 ~expect:Crash "";
+        clazz "selftest-hang" ~workload:"ycsb" ~txns:50 ~expect:Stall "";
+      ])
 
 let preset_names = List.map fst presets
 let find_preset name = List.assoc_opt name presets

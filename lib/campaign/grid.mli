@@ -88,7 +88,16 @@ val presets : (string * clazz) list
       planted fault, at 400 transactions.  Honest legs expect [Pass];
       WAL damage and the planted replication and shard lies expect
       [Any], so they assert that every cell completes;
+    - [net-*], [repl-*], [shard-*], [stack-*]: the fault planes'
+      tables, one class per fault class of the client wire,
+      replication (under each ack mode), sharding and the stacked
+      planes, at one shape per plane; honest classes expect [Pass],
+      planted lies and WAL damage [Any];
     - the two self-test cells.
+
+    No two presets share a definition: the sharding table's unsharded
+    baseline is [repl-single-node], its stale-prepared-read row
+    [soak-shard-stale-prep].
 
     Every name fits the 24-character [cell :] column of the sweep
     summary. *)

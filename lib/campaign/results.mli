@@ -1,5 +1,5 @@
 (** The campaign results DB — one deterministic JSON document — and the
-    per-class summary it, the CLI and the bench all read.
+    per-class summary it and the CLI both read.
 
     Derived exclusively from the grid and the index-ordered result
     array: no wall clock, no completion order, no domain count.  Serial

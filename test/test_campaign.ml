@@ -517,6 +517,26 @@ let test_preset_names_fit () =
         (String.length name <= 24))
     G.preset_names
 
+(* Each preset is its own definition: no two presets share a line once
+   the name is removed. *)
+let test_presets_distinct () =
+  let definitions =
+    List.map
+      (fun (name, c) ->
+        let line = G.describe c in
+        let n = String.length name in
+        (name, String.sub line n (String.length line - n)))
+      G.presets
+  in
+  List.iter
+    (fun (name, d) ->
+      match
+        List.find_opt (fun (other, d') -> other <> name && d = d') definitions
+      with
+      | Some (other, _) -> Alcotest.failf "%s repeats %s" name other
+      | None -> ())
+    definitions
+
 let test_shrink_drops_repeated_flag () =
   let clazz =
     clazz "mislabeled" "smallbank" ~txns:40 ~expect:G.Fail
@@ -555,6 +575,8 @@ let suite =
       test_shrink_drops_repeated_flag;
     Alcotest.test_case "preset names fit the cell column" `Quick
       test_preset_names_fit;
+    Alcotest.test_case "no two presets share a definition" `Quick
+      test_presets_distinct;
     Alcotest.test_case "shrunk reproducers replay byte-for-byte (50 seeds)"
       `Slow test_shrinker_replays;
     Alcotest.test_case "1000-cell six-plane grid: serial = parallel bytes"

@@ -7,6 +7,7 @@
      and refuses to run off the main domain, where cmdliner's output
      would land in the main domain's [Format.str_formatter];
    - every digit of a rate in a reproducer line reaches [Flags];
+   - the campaign summary counts verdicts as V X I C T;
    - every preset cell agrees with its printed line: the built CLI run
      on [Grid.args] exits with the cell's verdict and prints the cell's
      engine counts and degradation line. *)
@@ -107,6 +108,20 @@ let test_cli_usage_exit_2 () =
     (Sys.file_exists out);
   Sys.remove trace
 
+(* The sweep summary's legend: V verified, X violation, I inconclusive,
+   C crashed, T timeout. *)
+let test_cli_summary_legend () =
+  let code, text =
+    Helpers.run_cli
+      [
+        "campaign"; "--cell"; "selftest-crash"; "--seeds"; "1"; "--no-shrink";
+        "--quiet";
+      ]
+  in
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check bool) "crash counted under C" true
+    (Helpers.contains text "1/1 expected | V 0 X 0 I 0 C 1 T 0\n")
+
 let test_parse_errors () =
   (match Flags.parse [ "--no-such-flag" ] with
   | Ok _ -> Alcotest.fail "unknown option accepted"
@@ -162,7 +177,7 @@ let test_cells_agree_with_lines () =
       G.presets
   in
   let cells = G.cells (G.make ~seeds_per_class:2 classes) in
-  Alcotest.(check int) "66 cells" 66 (Array.length cells);
+  Alcotest.(check int) "146 cells" 146 (Array.length cells);
   Array.iter
     (fun (cell : G.cell) ->
       let what = G.cli_line cell in
@@ -220,6 +235,8 @@ let suite =
       test_cli_plane_off;
     Alcotest.test_case "CLI: unparseable and inert flags exit 2" `Quick
       test_cli_usage_exit_2;
+    Alcotest.test_case "CLI: campaign summary legend is V X I C T" `Quick
+      test_cli_summary_legend;
     Alcotest.test_case "parse returns cmdliner's diagnostic" `Quick
       test_parse_errors;
     Alcotest.test_case "parse runs on the main domain only" `Quick
@@ -227,6 +244,6 @@ let suite =
     Alcotest.test_case "reproducer lines keep every digit" `Quick
       test_lossless_rates;
     Helpers.qtest prop_rates_round_trip;
-    Alcotest.test_case "every preset cell agrees with its line (66 cells)"
+    Alcotest.test_case "every preset cell agrees with its line (146 cells)"
       `Slow test_cells_agree_with_lines;
   ]

@@ -244,8 +244,8 @@ let test_tpcc_gc_cadence () =
 
 (* --- tentpole: live state is O(window), not O(history) ------------- *)
 
-(* The bench's synthetic stream, small: txn i reads the previous value
-   of cell (i mod cells), overwrites it with i+1, commits, in disjoint
+(* A synthetic stream: txn i reads the previous value of cell
+   (i mod cells), overwrites it with i+1, commits, in disjoint
    intervals — Verified at any scale, with a version chain per cell and
    a dependency log that only truncation bounds. *)
 let synthetic_soak ~txns ~window =
