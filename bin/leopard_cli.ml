@@ -80,6 +80,7 @@ let print_truncation (report : Leopard.Checker.report) =
    reproduces the uninterrupted verdict byte-for-byte. *)
 let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
     ~resume ~kill_after path =
+  let load0 = Leopard_util.Clock.cpu () in
   let contents, skipped, stream =
     match
       if lenient then
@@ -98,6 +99,7 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
     | Ok loaded -> loaded
     | Error e | (exception Sys_error e) -> file_error "load" path e
   in
+  let load_cpu = Leopard_util.Clock.cpu () -. load0 in
   let loading f = try f () with Session.Bad_line e -> file_error "load" path e in
   let marks = Marks.of_codec contents ~skipped:(List.length skipped) in
   let shards = contents.Leopard_trace.Codec.c_shards in
@@ -113,7 +115,9 @@ let check_file ~dbms ~il ~show_bugs ~infer ~lenient ~gc_watermark ~checkpoint
                 if n = kill_after then Unix.kill (Unix.getpid ()) Sys.sigkill)
               il marks (Session.Sorted stream)))
   in
-  let cpu = Leopard_util.Clock.cpu () -. cpu0 in
+  (* the same work on both paths: loading (a strict check's markers
+     pass, a lenient check's load and sort) plus the session *)
+  let cpu = load_cpu +. (Leopard_util.Clock.cpu () -. cpu0) in
   List.iter prerr_endline verified.Session.warnings;
   Option.iter
     (fun cursor ->

@@ -217,8 +217,8 @@ type t = {
   mutable truncated_deps : int;
   forgotten_by_source : int array;
       (* Dep.source_rank-indexed tallies of log entries folded away by
-         [truncate]; merged back into the report so truncated and
-         untruncated runs agree on deps_deduced *)
+         [truncate]; merged back into the report so folding never
+         changes deps_deduced *)
 }
 
 let max_stored_bugs = 10_000
@@ -866,46 +866,49 @@ let run_gc t = prune_to t (horizon t)
 
    [prune_to] already bounds the four mechanism mirrors, the deferred
    heap and the transaction table.  The deduction log is not pruned with
-   them, because [emit_dep] uses it to deduplicate re-deductions and
-   [narrow] queries ww edges between live chain versions.  Both uses
-   only ever mention transactions that appear in some live structure: a
-   dependency can be re-deduced only from live versions/readers/lock
-   entries/FUW entries/initial readers, and [narrow] only asks about
-   live chain versions.  So a cut walks each live structure once to
-   collect the transactions they name, then sweeps the log once: every
-   entry with an endpoint outside that set is folded into accumulated
-   tallies and dropped — the summary keeps the counts (so reports agree
-   with an untruncated run) while the memory is reclaimed.  The walk
-   over every chain and reader list remains; it grows with the cells
-   the history wrote. *)
+   them: [emit_dep] uses it to deduplicate re-deductions and [narrow]
+   looks ww edges up in it.  A cut keeps what those two can still ask
+   for, and folds the rest into accumulated tallies, so the report keeps
+   the counts while the memory is reclaimed.
+
+   - Every [emit_dep] names a transaction the checker tracks: the
+     installing one in [install_versions] (also via [promote_ambiguous]),
+     the reader in [check_item] and [resolve_awaiting], the releasing
+     one in [Me_verifier.release], the registering one in
+     [Fuw_verifier.register].  Tracked means in [txns], the reader of a
+     deferred or parked read, or marked in [outcomes]; a transaction
+     that is none of these has settled and installs, reads, releases and
+     registers nothing more.  So an entry with neither endpoint tracked
+     is never deduced again.
+   - [narrow] asks for ww edges between the writers of two versions on
+     one chain, which is then in [Version_order]'s [multi] index.  A
+     settled writer joins no chain again, so a ww edge whose endpoints
+     are not both writers on such chains is never looked up.
+
+   A cut therefore visits the tracked transactions, the multi-version
+   chains and the log, never a single-version chain or a reader list:
+   its cost follows the live state, not the cells the history wrote. *)
 
 let truncate t ~watermark =
   let h = min watermark (horizon t) in
   prune_to t h;
-  let retained = Hashtbl.create 1024 in
-  let keep id = Hashtbl.replace retained id () in
+  let reading = Hashtbl.create 64 in
+  Leopard_util.Min_heap.fold
+    (fun () pr -> Hashtbl.replace reading pr.reader ())
+    () t.deferred;
   (* lint: allow hashtbl-order — building a membership set; commutative *)
-  Hashtbl.iter (fun id _ -> keep id) t.txns;
-  Version_order.iter_referenced_txns t.versions keep;
-  Me_verifier.iter_referenced_txns t.me keep;
-  Fuw_verifier.iter_referenced_txns t.fuw keep;
-  Sc_verifier.iter_referenced_txns t.sc keep;
-  (* lint: allow hashtbl-order — building a membership set; commutative *)
-  Cell.Tbl.iter
-    (fun _ readers -> List.iter keep readers.order)
-    t.initial_readers;
-  Leopard_util.Min_heap.fold (fun () pr -> keep pr.reader) () t.deferred;
-  (* lint: allow hashtbl-order — building a membership set; commutative *)
-  Hashtbl.iter
-    (fun reader entries ->
-      keep reader;
-      List.iter (fun e -> keep e.a_writer) !entries)
-    t.awaiting;
-  (* marked transactions can still be promoted (outcome resolution) or
-     re-queried; every writer in [indeterminate_values] is one of them *)
-  (* lint: allow hashtbl-order — building a membership set; commutative *)
-  Hashtbl.iter (fun id _ -> keep id) t.outcomes;
-  Dep.Log.sweep t.log ~keep:(Hashtbl.mem retained) (fun source ->
+  Hashtbl.iter (fun reader _ -> Hashtbl.replace reading reader ()) t.awaiting;
+  let tracked id =
+    Hashtbl.mem t.txns id || Hashtbl.mem reading id || Hashtbl.mem t.outcomes id
+  in
+  let shared = Hashtbl.create 64 in
+  Version_order.iter_multi_writers t.versions (fun id ->
+      Hashtbl.replace shared id ());
+  Dep.Log.sweep t.log
+    ~keep:(fun kind a b ->
+      tracked a || tracked b
+      || (kind = Dep.Ww && Hashtbl.mem shared a && Hashtbl.mem shared b))
+    (fun source ->
       t.truncated_deps <- t.truncated_deps + 1;
       let r = Dep.source_rank source in
       t.forgotten_by_source.(r) <- t.forgotten_by_source.(r) + 1);

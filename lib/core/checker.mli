@@ -94,16 +94,20 @@ val truncate : t -> watermark:int -> unit
     the pipeline's progress proof ({!Pipeline.watermark}): every trace
     not yet dispatched has [ts_bef >= watermark].  The checker prunes
     all four mechanism mirrors at [min watermark (internal horizon)]
-    exactly as periodic gc does, then additionally folds deduction-log
-    entries whose transactions no longer appear in {e any} live
-    structure into accumulated per-source tallies — the one structure
-    periodic gc never bounds.  Folded counts are merged back into
-    {!report.deps_deduced} / {!report.deduced_by_source}, so a
-    truncated run reports the same totals as an untruncated one; marked
-    transactions ({!mark}, {!note_failover}), degradation counters and
-    stored bugs are always retained.  After a truncation, {!live_size} is
-    O(window): bounded by the state reachable from live transactions.
-    Safe to call at any dispatch point, any number of times. *)
+    exactly as periodic gc does, then folds into accumulated per-source
+    tallies every deduction-log entry that no later trace can deduce
+    again or look up: one with neither endpoint still tracked (in the
+    transaction table, reading, or marked), unless it is a ww edge
+    between writers that candidate narrowing can still ask about.
+    Folding never changes {!report.deps_deduced} or
+    {!report.deduced_by_source}, since folded counts are merged back;
+    the prune can, because fewer coexisting transactions deduce other
+    edges, so the totals equal an untruncated run's only at the same
+    prune cadence.  Marked transactions ({!mark}, {!note_failover}),
+    degradation counters and stored bugs are always retained.  A cut
+    costs O(tracked transactions + multi-version chains + log), and
+    after it {!live_size} is O(window).  Safe to call at any dispatch
+    point, any number of times. *)
 
 type cause =
   | Crashed

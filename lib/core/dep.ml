@@ -101,14 +101,14 @@ module Log = struct
     row.(p) <- tag;
     row.(0) <- row.(0) + 1
 
-  (* A row sized for [n] entries holding the pairs whose target passes
-     [keep]. *)
+  (* A row sized for [n] entries holding the pairs that pass [keep],
+     which is given a pair's target and tag. *)
   let copy_row (row : row) n keep =
     let fresh = fresh_row n in
     for i = 0 to capacity row - 1 do
       let tag = row.(2 + (2 * i)) in
       let target = row.(1 + (2 * i)) in
-      if tag <> 0 && keep target then place fresh target tag
+      if tag <> 0 && keep target tag then place fresh target tag
     done;
     fresh
 
@@ -142,7 +142,7 @@ module Log = struct
       let row =
         if p >= 0 && n <= limit (capacity row) then row
         else begin
-          let grown = copy_row row n (fun _ -> true) in
+          let grown = copy_row row n (fun _ _ -> true) in
           Itbl.replace t.rows d.from_txn grown;
           grown
         end
@@ -178,11 +178,13 @@ module Log = struct
        against [keep], and [dropped]'s order is unspecified *)
     Itbl.filter_map_inplace
       (fun from_txn row ->
-        let whole = not (keep from_txn) in
+        let kept target tag =
+          keep (kind_of_rank (tag_kind tag)) from_txn target
+        in
         let gone = ref 0 in
         for i = 0 to capacity row - 1 do
           let tag = row.(2 + (2 * i)) in
-          if tag <> 0 && (whole || not (keep row.(1 + (2 * i)))) then begin
+          if tag <> 0 && not (kept row.(1 + (2 * i)) tag) then begin
             incr gone;
             forget tag
           end
@@ -190,7 +192,7 @@ module Log = struct
         let n = row.(0) - !gone in
         if !gone = 0 then Some row
         else if n = 0 then None
-        else Some (copy_row row n keep))
+        else Some (copy_row row n kept))
       t.rows
 
   let entries t =

@@ -60,13 +60,13 @@ module Log : sig
   (** Entries per source, sources without entries left out, in
       {!all_sources} order. *)
 
-  val sweep : t -> keep:(int -> bool) -> (source -> unit) -> unit
-  (** [sweep t ~keep dropped] removes every entry with an endpoint
-      that [keep] rejects, calling [dropped] with each removed entry's
-      source, in no particular order; entries with both endpoints kept
-      stay as they are.  One pass over the log, which is how a
-      truncating checker folds the settled transactions' entries into
-      its tallies. *)
+  val sweep : t -> keep:(kind -> int -> int -> bool) -> (source -> unit) -> unit
+  (** [sweep t ~keep dropped] removes every entry [(kind, from, to)]
+      for which [keep kind from to] is false, calling [dropped] with
+      each removed entry's source, in no particular order; the entries
+      [keep] accepts stay as they are.  One pass over the log, which is
+      how a truncating checker folds the entries no later trace can
+      deduce again or look up into its tallies. *)
 
   val entries : t -> dep list
   (** All logged deductions in a canonical (kind, from, to) order —

@@ -46,10 +46,6 @@ let register t ~row entry ~on_pair =
 
 let live_entries t = t.live
 
-let iter_referenced_txns t f =
-  (* lint: allow hashtbl-order — callers collect a membership set *)
-  Hashtbl.iter (fun _ entries -> List.iter (fun e -> f e.ftxn) !entries) t.rows
-
 (* Checkpoint codec: one line per entry, row-major sorted, entries in
    list order ([register] evaluates a newcomer against the list in that
    order, pinning pair-evaluation order). *)

@@ -46,11 +46,6 @@ val register :
 
 val live_entries : t -> int
 
-val iter_referenced_txns : t -> (int -> unit) -> unit
-(** Call [f] on the id of every transaction with a retained registry
-    entry, in no particular order and possibly more than once — the FUW
-    contribution to the truncation retained-set. *)
-
 val dump : t -> string list
 (** Serialize the registry as {!Leopard_trace.Fields} lines, row-major
     sorted, preserving per-row entry order (it pins pair-evaluation

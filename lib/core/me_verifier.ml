@@ -110,12 +110,6 @@ let discard t ~txn =
 
 let live_entries t = t.live
 
-let iter_referenced_txns t f =
-  (* lint: allow hashtbl-order — callers collect a membership set *)
-  Hashtbl.iter (fun _ entries -> List.iter (fun e -> f e.etxn) !entries) t.rows;
-  (* lint: allow hashtbl-order — callers collect a membership set *)
-  Hashtbl.iter (fun txn _ -> f txn) t.by_txn
-
 (* Checkpoint codec.  Two kinds of line: [e] rows (one per lock entry,
    row-major sorted, entries in list order — [release] evaluates pairs in
    that order, so it pins bug-detection order) and [t] rows (one per

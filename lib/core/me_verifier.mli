@@ -66,11 +66,6 @@ val discard : t -> txn:int -> unit
 val live_entries : t -> int
 (** Lock-table size — the ME memory metric. *)
 
-val iter_referenced_txns : t -> (int -> unit) -> unit
-(** Call [f] on the id of every transaction holding a retained lock
-    entry, in no particular order and possibly more than once — the
-    lock-table contribution to the truncation retained-set. *)
-
 val dump : t -> string list
 (** Serialize the lock table (row-major, sorted row keys) and the
     per-transaction row lists as {!Leopard_trace.Fields} lines,

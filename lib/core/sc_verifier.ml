@@ -42,10 +42,6 @@ let note_commit t ~txn ~first_iv ~terminal_iv =
 let nodes t = Hashtbl.length t.nodes
 let edges t = t.edge_count
 
-let iter_referenced_txns t f =
-  (* lint: allow hashtbl-order — callers collect a membership set *)
-  Hashtbl.iter (fun id _ -> f id) t.nodes
-
 (* An rw(a -> b) edge is SSI-relevant only when a and b were certainly
    concurrent: b certainly began before a committed.  (A non-concurrent
    antidependency is harmless and PostgreSQL's certifier ignores it.) *)

@@ -42,11 +42,6 @@ val add_dep : t -> Dep.t -> Bug.t list
 val nodes : t -> int
 val edges : t -> int
 
-val iter_referenced_txns : t -> (int -> unit) -> unit
-(** Call [f] on the id of every live graph node, in no particular order
-    — the SC contribution to the truncation retained-set (rw witnesses
-    are excluded: they never emit new dependencies). *)
-
 val gc : t -> frontier:int -> int
 (** Prune garbage transactions (Definition 4) given that every unverified
     trace has [ts_bef >= frontier]; cascades while new in-degree-zero

@@ -106,16 +106,9 @@ let add_reader t cell v reader =
       v.readers <- reader :: v.readers
     end
 
-let iter_referenced_txns t f =
+let iter_multi_writers t f =
   (* lint: allow hashtbl-order — callers collect a membership set *)
-  Cell.Tbl.iter
-    (fun _ c ->
-      List.iter
-        (fun v ->
-          f v.vtxn;
-          List.iter f v.readers)
-        c.versions)
-    t.chains
+  Cell.Tbl.iter (fun _ c -> List.iter (fun v -> f v.vtxn) c.versions) t.multi
 
 (* Checkpoint codec: one line per version, cell-major sorted so the dump
    is deterministic whatever the hashtable's insertion history; versions

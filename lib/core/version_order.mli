@@ -54,11 +54,12 @@ val add_reader : t -> Cell.t -> version -> int -> unit
     scanned, and a version with many readers gets a membership table,
     dropped when {!prune} drops the version. *)
 
-val iter_referenced_txns : t -> (int -> unit) -> unit
-(** Call [f] on the id of every transaction a retained version
-    references (its writer and its matched readers), in no particular
-    order and possibly more than once — the cell-mirror contribution to
-    the truncation retained-set. *)
+val iter_multi_writers : t -> (int -> unit) -> unit
+(** Call [f] on the writer of every version on a chain holding two or
+    more versions, in no particular order and possibly more than once.
+    Only such a chain offers two candidates to one read, so these are
+    the only writers whose ww edges candidate narrowing asks about.
+    Costs O(versions on those chains), which {!prune} bounds. *)
 
 val dump : t -> string list
 (** Serialize every retained version as one {!Leopard_trace.Fields}

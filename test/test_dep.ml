@@ -1,20 +1,24 @@
 (* Model test for the deduction log: random sequences of operations run
    against [Dep.Log] and against an association list that spells out the
    log's contract — a (kind, from, to) triple is logged once and keeps
-   the source that logged it first, a sweep drops every entry with an
-   endpoint outside the kept set and reports each dropped entry's
-   source, and [entries] lists the log in (kind, from, to) order. *)
+   the source that logged it first, a sweep drops every entry its
+   predicate rejects and reports each dropped entry's source, and
+   [entries] lists the log in (kind, from, to) order. *)
 
 module Dep = Leopard.Dep
 module Log = Dep.Log
 module Gen = QCheck.Gen
 
-(* A sweep keeps an id unless it is listed in [drop] or, with a nonzero
-   [modulus], divisible by it. *)
-type keep = { drop : int list; modulus : int }
+(* A sweep keeps an entry of kind [spared] and every entry whose
+   endpoints are both kept; it keeps an id unless the id is listed in
+   [drop] or, with a nonzero [modulus], divisible by it. *)
+type keep = { drop : int list; modulus : int; spared : Dep.kind option }
 
-let kept k id =
-  (not (List.mem id k.drop)) && (k.modulus = 0 || id mod k.modulus <> 0)
+let kept k kind a b =
+  let id_kept id =
+    (not (List.mem id k.drop)) && (k.modulus = 0 || id mod k.modulus <> 0)
+  in
+  (id_kept a && id_kept b) || k.spared = Some kind
 
 type op =
   | Add of Dep.t
@@ -33,9 +37,10 @@ let show_op = function
   | Add d -> "add " ^ show_dep d
   | Mem (k, a, b) -> Printf.sprintf "mem %s %d->%d" (Dep.kind_to_string k) a b
   | Sweep k ->
-    Printf.sprintf "sweep drop=[%s] mod=%d"
+    Printf.sprintf "sweep drop=[%s] mod=%d spared=%s"
       (String.concat ";" (List.map string_of_int k.drop))
       k.modulus
+      (Option.fold ~none:"-" ~some:Dep.kind_to_string k.spared)
   | Entries -> "entries"
   | By_source -> "by_source"
   | Count -> "count"
@@ -75,7 +80,7 @@ let run ops =
     | Sweep k ->
       let stay, gone =
         List.partition
-          (fun (d : Dep.t) -> kept k d.from_txn && kept k d.to_txn)
+          (fun (d : Dep.t) -> kept k d.kind d.from_txn d.to_txn)
           !model
       in
       model := stay;
@@ -138,10 +143,11 @@ let dep_between from_txn to_txn =
 let dep = Gen.(id >>= fun a -> id >>= fun b -> dep_between a b)
 
 let keep =
-  Gen.map2
-    (fun drop modulus -> { drop; modulus })
+  Gen.map3
+    (fun drop modulus spared -> { drop; modulus; spared })
     (Gen.list_size (Gen.int_bound 3) id)
     (Gen.oneofl [ 0; 0; 2; 3 ])
+    (Gen.opt kind)
 
 let op =
   Gen.frequency
@@ -188,11 +194,14 @@ let hub_sequence =
     @ List.map (fun (target, shape) -> add target shape) again
     @ mems @ others
     @ [
-        Count; By_source; Sweep { drop = []; modulus = 7 }; Entries; Count;
-        By_source;
+        Count; By_source; Sweep { drop = []; modulus = 7; spared = None };
+        Entries; Count; By_source;
       ]
     @ mems
-    @ [ Sweep { drop = [ hub ]; modulus = 0 }; Entries; Count ])
+    @ [
+        Sweep { drop = [ hub ]; modulus = 0; spared = Some Dep.Wr }; Entries;
+        Count;
+      ])
 
 let prop_hub_row =
   QCheck.Test.make ~name:"a 10,000-edge row matches the model" ~count:3

@@ -110,9 +110,11 @@ let digest (r : Leopard.Checker.report) =
     | Leopard.Checker.Inconclusive why -> "I:" ^ why)
 
 (* A feeding pass that truncates every [window] traces at the current
-   trace's ts_bef — the sorted stream's own watermark. *)
-let check_truncating ?(window = 40) profile traces =
+   trace's ts_bef — the sorted stream's own watermark.  [on_dep] sees
+   each deduction the checker reports fresh. *)
+let check_truncating ?(window = 40) ?on_dep profile traces =
   let checker = Leopard.Checker.create profile in
+  Option.iter (Leopard.Checker.set_dep_hook checker) on_dep;
   let n = ref 0 in
   List.iter
     (fun (tr : Trace.t) ->
@@ -185,10 +187,28 @@ let tpcc_traces ~seed ~txns =
           ~profile:Minidb.Profile.postgresql
           ~level:Minidb.Isolation.Serializable ~stop:(H.Run.Txn_count txns) ()))
 
+(* A truncating pass that also asserts what a cut may fold: an entry no
+   later trace deduces again.  So no (kind, from, to) triple is reported
+   fresh twice, and [deps_deduced] counts each distinct triple once. *)
+let check_folding ~what ~window il traces =
+  let seen = Hashtbl.create 1024 and repeats = ref 0 in
+  let r =
+    check_truncating ~window il traces ~on_dep:(fun (d : Leopard.Dep.t) ->
+        let key = (Leopard.Dep.kind_to_string d.kind, d.from_txn, d.to_txn) in
+        if Hashtbl.mem seen key then incr repeats
+        else Hashtbl.replace seen key ())
+  in
+  Alcotest.(check int) (what ^ ": no folded triple deduced again") 0 !repeats;
+  Alcotest.(check int)
+    (what ^ ": deps_deduced counts distinct triples")
+    (Hashtbl.length seen) r.Leopard.Checker.deps_deduced;
+  r
+
 let test_truncated_equals_untruncated_sweep () =
   (* 50 seeds; every fifth one runs a faulted probe so the Violation
      path is exercised, the rest run clean chaos-free histories; every
-     seed also runs a TPC-C leg *)
+     seed also runs a TPC-C leg, and the first three cut after every
+     trace too *)
   for seed = 0 to 49 do
     let traces, il =
       if seed mod 5 = 0 then begin
@@ -210,12 +230,19 @@ let test_truncated_equals_untruncated_sweep () =
     List.iter
       (fun (leg, traces, il) ->
         let plain = Helpers.check il traces in
-        let truncated = check_truncating ~window:37 il traces in
+        let what = Printf.sprintf "%s seed %d" leg seed in
+        let truncated = check_folding ~what ~window:37 il traces in
         Alcotest.(check string)
-          (Printf.sprintf "%s seed %d: truncated digest equals untruncated" leg
-             seed)
+          (what ^ ": truncated digest equals untruncated")
           (verdict_digest plain)
           (verdict_digest truncated);
+        if seed < 3 then
+          Alcotest.(check string)
+            (what ^ ": cut every trace, digest equals untruncated")
+            (verdict_digest plain)
+            (verdict_digest
+               (check_folding ~what:(what ^ " every trace") ~window:1 il
+                  traces));
         Alcotest.(check bool)
           (Printf.sprintf "%s seed %d: truncations happened" leg seed)
           true
@@ -301,6 +328,100 @@ let test_live_size_bounded_by_window () =
   (* the verdict-level outputs survive the folding *)
   Alcotest.(check string) "verdict digest matches untruncated"
     (verdict_digest u4) (verdict_digest r4)
+
+(* A and B write 5 to x.  Their commits overlap, so the version order
+   cannot order them, but B wrote x after A's commit may have released
+   the lock, so ME and FUW deduce ww A -> B.  Both settle, and a cut
+   runs while C's read holds the horizon.  R then reads 5 with a
+   snapshot after both: A's and B's versions are both candidates, and
+   only the ww edge rules A's out, which leaves R a wr edge from B.
+   Neither A nor B is tracked at the cut; the edge survives it because
+   both wrote versions on one multi-version chain. *)
+let test_cut_keeps_narrowing_ww () =
+  let x = Helpers.cell 0 and y = Helpers.cell 1 in
+  let a = 1 and b = 2 and c = 3 and r = 4 in
+  let run ~cut =
+    let checker = Leopard.Checker.create il_sr in
+    List.iter (Leopard.Checker.feed checker)
+      [
+        Helpers.write ~client:1 ~txn:a ~bef:10 ~aft:12 [ (x, 5) ];
+        Helpers.commit ~client:1 ~txn:a ~bef:20 ~aft:40 ();
+        Helpers.write ~client:2 ~txn:b ~bef:30 ~aft:32 [ (x, 5) ];
+        Helpers.commit ~client:2 ~txn:b ~bef:35 ~aft:45 ();
+        Helpers.read ~client:3 ~txn:c ~bef:60 ~aft:61 [ (y, 0) ];
+      ];
+    if cut then Leopard.Checker.truncate checker ~watermark:60;
+    List.iter (Leopard.Checker.feed checker)
+      [
+        Helpers.commit ~client:3 ~txn:c ~bef:62 ~aft:63 ();
+        Helpers.read ~client:4 ~txn:r ~bef:100 ~aft:101 [ (x, 5) ];
+        Helpers.commit ~client:4 ~txn:r ~bef:102 ~aft:103 ();
+      ];
+    Leopard.Checker.finalize checker;
+    checker
+  in
+  List.iter
+    (fun (what, checker) ->
+      Alcotest.(check bool)
+        (what ^ ": wr b->r deduced") true
+        (Leopard.Checker.deduced checker Leopard.Dep.Wr b r);
+      Alcotest.(check bool)
+        (what ^ ": ww a->b still logged") true
+        (Leopard.Checker.deduced checker Leopard.Dep.Ww a b);
+      Alcotest.(check bool)
+        (what ^ ": verified") true
+        (Leopard.Checker.verdict (Leopard.Checker.report checker)
+        = Leopard.Checker.Verified))
+    [ ("untruncated", run ~cut:false); ("cut", run ~cut:true) ]
+
+(* One version of x, then [readers] transactions that each read it and
+   commit, cut every [window] traces.  The version lists every reader,
+   yet a settled reader is tracked no more, so each cut folds its wr
+   edge.  Returns the report and the largest live size right after a
+   cut. *)
+let hub_soak ~readers ~window =
+  let x = Helpers.cell 0 in
+  let checker = Leopard.Checker.create il_sr in
+  let fed = ref 0 and worst = ref 0 in
+  let feed (tr : Trace.t) =
+    Leopard.Checker.feed checker tr;
+    incr fed;
+    if !fed mod window = 0 then begin
+      Leopard.Checker.truncate checker ~watermark:tr.ts_bef;
+      worst := max !worst (Leopard.Checker.live_size checker)
+    end
+  in
+  feed (Helpers.write ~txn:0 ~bef:0 ~aft:1 [ (x, 42) ]);
+  feed (Helpers.commit ~txn:0 ~bef:2 ~aft:3 ());
+  for i = 1 to readers do
+    let t = 10 + (4 * (i - 1)) and client = i mod 8 in
+    feed (Helpers.read ~client ~txn:i ~bef:t ~aft:(t + 1) [ (x, 42) ]);
+    feed (Helpers.commit ~client ~txn:i ~bef:(t + 2) ~aft:(t + 3) ())
+  done;
+  Leopard.Checker.finalize checker;
+  (Leopard.Checker.report checker, !worst)
+
+let test_hub_readers_fold () =
+  let window = 500 in
+  let small, after_small = hub_soak ~readers:4_000 ~window in
+  let large, after_large = hub_soak ~readers:16_000 ~window in
+  List.iter
+    (fun (readers, (r : Leopard.Checker.report), after) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d readers: verified" readers)
+        true
+        (Leopard.Checker.verdict r = Leopard.Checker.Verified);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d readers: live size after a cut (%d) within the \
+                         window"
+           readers after)
+        true (after <= window))
+    [ (4_000, small, after_small); (16_000, large, after_large) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "peak live flat across 4x readers (%d vs %d)"
+       small.peak_live large.peak_live)
+    true
+    (large.peak_live <= small.peak_live + (small.peak_live / 5))
 
 (* --- tentpole: encode/decode round-trips mid-stream ---------------- *)
 
@@ -1133,6 +1254,10 @@ let suite =
       `Quick test_tpcc_gc_cadence;
     Alcotest.test_case "truncated live size is O(window)" `Quick
       test_live_size_bounded_by_window;
+    Alcotest.test_case "a cut keeps the ww edges narrowing needs" `Quick
+      test_cut_keeps_narrowing_ww;
+    Alcotest.test_case "a hub's settled readers fold at each cut" `Quick
+      test_hub_readers_fold;
     Alcotest.test_case "encode/decode round-trips mid-stream" `Quick
       test_encode_decode_roundtrip;
     Alcotest.test_case "decode rejects foreign profile and flags" `Quick
