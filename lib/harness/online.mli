@@ -12,10 +12,14 @@
     running, a queue can be momentarily empty; the pipeline's watermark
     then relies on each client's last-seen timestamp, so dispatch order
     (Theorem 1) still holds — the same verification verdicts as an
-    offline pass over the full sorted history, which the tests assert. *)
+    offline pass over the full sorted history, which the tests assert
+    against an unobserved replay of the same config (a run is
+    deterministic from its seed). *)
 
 type result = {
   outcome : Run.outcome;
+      (** the run's counters and marks; it carries no traces (its
+          [client_traces] are empty) *)
   report : Leopard.Checker.report;
   verify_cpu_s : float;  (** CPU time spent inside verification calls *)
   rounds : int;  (** batch windows processed *)

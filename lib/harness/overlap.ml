@@ -1,5 +1,4 @@
 module Interval = Leopard_util.Interval
-module Trace = Leopard_trace.Trace
 module Gt = Minidb.Ground_truth
 
 type beta = {
@@ -16,21 +15,14 @@ let ratio b =
 
 (* A dependency is measurable when both endpoint operations have traces
    (dependencies on the initial load do not). *)
-let endpoint_intervals outcome (d : Gt.dep) =
-  match
-    ( Hashtbl.find_opt outcome.Run.op_trace d.from_op,
-      Hashtbl.find_opt outcome.Run.op_trace d.to_op )
-  with
-  | Some a, Some b -> Some (Trace.interval a, Trace.interval b)
-  | _ -> None
-
 let fold_deps outcome f init =
+  let iv = outcome.Run.op_interval in
   List.fold_left
     (fun acc (d : Gt.dep) ->
-      match endpoint_intervals outcome d with
-      | None -> acc
-      | Some (ia, ib) -> f acc d (Interval.overlaps ia ib))
-    init outcome.Run.truth_deps
+      match (iv d.from_op, iv d.to_op) with
+      | Some ia, Some ib -> f acc d (Interval.overlaps ia ib)
+      | _ -> acc)
+    init (Lazy.force outcome.Run.truth_deps)
 
 let compute outcome =
   fold_deps outcome

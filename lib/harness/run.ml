@@ -222,8 +222,8 @@ let latency_for cfg client =
 
 type outcome = {
   client_traces : Trace.t list array;
-  op_trace : (int, Trace.t) Hashtbl.t;
-  truth_deps : Minidb.Ground_truth.dep list;
+  op_interval : int -> Leopard_util.Interval.t option;
+  truth_deps : Minidb.Ground_truth.dep list Lazy.t;
   committed : int -> bool;
   peek : Leopard_trace.Cell.t -> Trace.value option;
   snapshot :
@@ -295,7 +295,9 @@ type state = {
   mutable coord_ambiguous : (int * int * int) list;  (* newest first *)
   net_exec : (Net.Server.t * Net.Client.t array) option;
   buffers : Trace.t list ref array;  (* newest first; reversed at the end *)
-  op_trace : (int, Trace.t) Hashtbl.t;
+  mutable op_iv : int array;
+      (* the logged [ts_bef]/[ts_aft] of op [i] at [2i]/[2i+1]; [min_int]
+         where the op logged no trace; grown by doubling *)
   mutable next_op : int;
   mutable finished_txns : int;
   mutable retries : int;
@@ -440,8 +442,21 @@ let transport st rng ~engine ~client ~txn ~request ~receive ~on_undelivered =
       ~receive ~on_undelivered
 
 let deliver_now st ~client trace =
-  st.buffers.(client) := trace :: !(st.buffers.(client));
-  match st.cfg.observer with Some f -> f trace | None -> ()
+  match st.cfg.observer with
+  | Some f -> f trace
+  | None -> st.buffers.(client) := trace :: !(st.buffers.(client))
+
+let note_interval st op_id (trace : Trace.t) =
+  let n = Array.length st.op_iv in
+  if 2 * op_id >= n then
+    st.op_iv <-
+      Array.append st.op_iv (Array.make (max n ((2 * op_id) + 2 - n)) min_int);
+  st.op_iv.(2 * op_id) <- trace.Trace.ts_bef;
+  st.op_iv.((2 * op_id) + 1) <- trace.Trace.ts_aft
+
+let interval_at iv op =
+  if op < 0 || op >= Array.length iv / 2 || iv.(2 * op) = min_int then None
+  else Some (Leopard_util.Interval.make ~bef:iv.(2 * op) ~aft:iv.((2 * op) + 1))
 
 let emit st ~client ~txn_id ~op_id ~ts_bef payload =
   let trace =
@@ -449,7 +464,7 @@ let emit st ~client ~txn_id ~op_id ~ts_bef payload =
   in
   match st.cfg.chaos with
   | None ->
-    Hashtbl.replace st.op_trace op_id trace;
+    note_interval st op_id trace;
     deliver_now st ~client trace;
     trace
   | Some ch ->
@@ -465,7 +480,7 @@ let emit st ~client ~txn_id ~op_id ~ts_bef payload =
           ts_aft = trace.Trace.ts_aft + s;
         }
     in
-    Hashtbl.replace st.op_trace op_id trace;
+    note_interval st op_id trace;
     List.iter
       (fun (delay_ns, tr) ->
         if delay_ns = 0 then deliver_now st ~client tr
@@ -848,7 +863,7 @@ let execute cfg =
       coord_ambiguous = [];
       net_exec;
       buffers = Array.init cfg.clients (fun _ -> ref []);
-      op_trace = Hashtbl.create 4096;
+      op_iv = Array.make 8192 min_int;
       next_op = 0;
       finished_txns = 0;
       retries = 0;
@@ -986,8 +1001,9 @@ let execute cfg =
   let committed id = Engine.committed cur id in
   {
     client_traces = Array.map (fun r -> List.rev !r) st.buffers;
-    op_trace = st.op_trace;
-    truth_deps = Minidb.Ground_truth.deps (Engine.ground_truth cur) ~committed;
+    op_interval = interval_at st.op_iv;
+    truth_deps =
+      lazy (Minidb.Ground_truth.deps (Engine.ground_truth cur) ~committed);
     committed;
     peek = (fun cell -> Engine.peek cur cell);
     snapshot = (fun () -> Engine.snapshot_committed cur);

@@ -137,8 +137,10 @@ type config = {
       (** per-client latency override (heterogeneous clients /
           stragglers); defaults to [latency] for every client *)
   observer : (Trace.t -> unit) option;
-      (** called synchronously for every trace as the client logs it —
-          the hook live (online) verification attaches to *)
+      (** called synchronously for every trace as the collector receives
+          it — the hook live (online) verification attaches to.  The
+          observer owns the traces it is handed: an observed run keeps
+          no copy, so its [client_traces] are empty *)
   tick : (int * (unit -> unit)) option;
       (** [(interval_ns, f)]: run [f] every [interval_ns] of simulated
           time while clients are active (the paper batches traces into
@@ -215,10 +217,16 @@ val config :
 
 type outcome = {
   client_traces : Trace.t list array;
-      (** per client, in issue order (monotone ts_bef) *)
-  op_trace : (int, Trace.t) Hashtbl.t;  (** op id -> its trace *)
-  truth_deps : Minidb.Ground_truth.dep list;
-      (** exact dependencies between committed transactions *)
+      (** per client, in issue order (monotone ts_bef); every list is
+          empty when the config set an [observer], which owns them *)
+  op_interval : int -> Leopard_util.Interval.t option;
+      (** op id -> the interval its trace logged (under chaos, the skewed
+          one), from a packed index that pins no trace; [None] for an id
+          that logged no trace *)
+  truth_deps : Minidb.Ground_truth.dep list Lazy.t;
+      (** exact dependencies between committed transactions, computed
+          from the final engine state on first force (only the overlap
+          measurement and tests read them) *)
   committed : int -> bool;
   peek : Leopard_trace.Cell.t -> Trace.value option;
       (** final committed value of a cell (white-box test oracle) *)

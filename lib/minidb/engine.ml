@@ -151,6 +151,16 @@ let begin_txn t ~client =
 let txn_id txn = txn.id
 let txn_alive txn = txn.state = Active
 
+(* A finished transaction is looked up only by state (and [write_order],
+   for [txn_has_writes]), so its read set goes and its write table becomes
+   [no_writes], which nothing writes: only active transactions write. *)
+let no_writes : (Trace.value * int) Cell.Tbl.t = Cell.Tbl.create 1
+
+let settle txn state =
+  txn.state <- state;
+  txn.writes <- no_writes;
+  txn.read_seen <- []
+
 let peek t cell =
   match Version_store.latest t.store cell with
   | Some v -> Some v.Version_store.value
@@ -198,7 +208,7 @@ let crash_recover t =
     Hashtbl.iter
       (fun _ txn ->
         if txn.state = Active then begin
-          txn.state <- Aborted;
+          settle txn Aborted;
           t.aborts_crash <- t.aborts_crash + 1
         end)
       t.active;
@@ -272,7 +282,7 @@ let depose t ~epoch =
   Hashtbl.iter
     (fun _ txn ->
       if txn.state = Active then begin
-        txn.state <- Aborted;
+        settle txn Aborted;
         t.aborts_crash <- t.aborts_crash + 1
       end)
     t.active;
@@ -349,7 +359,7 @@ let finish_abort t txn reason =
         })
     txn.writes;
   pending_remove t txn;
-  txn.state <- Aborted;
+  settle txn Aborted;
   Hashtbl.remove t.active txn.id;
   Lock_manager.release_all t.locks ~txn:txn.id
   end
@@ -384,7 +394,7 @@ let snapshot_for_op t txn =
    the transaction, pins or advances the snapshot). *)
 let op_snapshot t txn = snapshot_for_op t txn
 
-let txn_has_writes txn = Cell.Tbl.length txn.writes > 0
+let txn_has_writes txn = txn.write_order <> []
 
 (* ------------------------------------------------------------------ *)
 (* Lock acquisition over a row list, CPS style *)
@@ -831,7 +841,7 @@ let do_commit t txn ~op_id ~k =
           Ground_truth.record_row_install t.truth row ~txn:txn.id ~op:row_op)
         write_rows;
       pending_remove t txn;
-      txn.state <- Committed_at commit_stamp;
+      settle txn (Committed_at commit_stamp);
       Hashtbl.remove t.active txn.id;
       Lock_manager.release_all t.locks ~txn:txn.id;
       t.commits <- t.commits + 1;

@@ -144,7 +144,9 @@ val op_snapshot : t -> txn -> int
 val txn_has_writes : txn -> bool
 (** Whether the transaction has buffered any writes (a follower can only
     serve reads of write-free transactions: pending writes live only at
-    the primary). *)
+    the primary).  A committed or aborted transaction drops its write
+    table but keeps this answer: [true] iff it wrote before it
+    finished. *)
 
 val promote_from :
   t -> ?wal:Wal.t -> records:Wal.record list -> unit -> t * Recovery.summary
